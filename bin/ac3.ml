@@ -586,8 +586,7 @@ let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
       | None -> ());
       0
 
-let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out
-    shard_chains =
+let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose metrics_out trace_out =
   match replay with
   | Some path -> chaos_replay ~jobs ~metrics_out ~trace_out path
   | None ->
@@ -595,7 +594,7 @@ let run_chaos seed runs protocol load replay shrink out jobs sanitize verbose me
       else begin
         let protocols = match protocol with Some p -> [ p ] | None -> Runner.all_protocols in
         let on_report = if verbose then Some report_line else None in
-        match Runner.sweep ~protocols ?on_report ~jobs ~sanitize ~load ~shard_chains ~seed ~runs () with
+        match Runner.sweep ~protocols ?on_report ~jobs ~sanitize ~load ~seed ~runs () with
         | summary ->
             export_obs ?metrics_out ?trace_out summary.Runner.obs;
             Fmt.pr "%a@." Runner.pp_summary summary;
@@ -641,21 +640,12 @@ let chaos_cmd =
             "Concurrent background swaps sharing each run's universe (1 = none): faults then hit \
              contended mempools and blocks, not an idle system.")
   in
-  let shard_chains =
-    Arg.(
-      value & flag
-      & info [ "shard-chains" ]
-          ~doc:
-            "Experimental: pre-generate every run's per-chain signing-key material on the \
-             $(b,--jobs) worker domains before the sweep starts. Purely a scheduling change — \
-             all output (summary, metrics, traces) is byte-identical with the flag on or off.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Deterministic fault-injection sweeps: seeded plans, atomicity oracle, shrinking")
     Term.(
       const run_chaos $ seed $ runs $ protocol $ load $ replay $ shrink $ out $ jobs_arg
-      $ sanitize_arg $ verbose $ metrics_out_arg $ trace_out_arg $ shard_chains)
+      $ sanitize_arg $ verbose $ metrics_out_arg $ trace_out_arg)
 
 (* --- check -------------------------------------------------------------------- *)
 

@@ -43,7 +43,7 @@ let violates ~spec ~protocol plan =
 
 let concretize ?(note = "model-checker counterexample") ~spec ~protocol ~schedule () =
   let target = runner_protocol protocol in
-  let universe, _, _, _ = Runner.build_universe ~spec ~protocol:target () in
+  let universe, _, _, _ = Runner.build_universe ~spec () in
   let delta = Ac3_core.Universe.max_delta universe in
   let parties = crash_parties schedule in
   let plan_at frac = List.map (fun p -> Plan.Crash { party = p; at = frac *. delta }) parties in

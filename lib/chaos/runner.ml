@@ -4,10 +4,10 @@
    Everything downstream of (spec, plan, protocol) is deterministic: the
    universe is rebuilt fresh from spec.seed for every protocol (so a
    fault schedule perturbs each protocol identically, not a universe
-   already mutated by the previous run), identities are namespaced by
-   seed and protocol so MSS keys are fresh, and the graph is derived
-   from spec.seed alone. Running the same plan twice yields byte-equal
-   traces. *)
+   already mutated by the previous run), identities carry the same
+   labels in every run but each run gets fresh signature counters, and
+   the graph is derived from spec.seed alone. Running the same plan
+   twice yields byte-equal traces. *)
 
 module Rng = Ac3_sim.Rng
 module Pool = Ac3_par.Pool
@@ -118,48 +118,23 @@ let build_graph ~spec ~ids ~timestamp =
   | Plan.Supply_chain -> Scenarios.supply_chain_graph ~chains ids ~timestamp
   | Plan.Random -> random_graph ~spec ~ids ~timestamp
 
-(* --- Experimental per-chain sharding (--shard-chains) --------------- *)
+(* Identity labels are the same for every run: MSS key material is a
+   pure function of the label, so every run after the first reuses the
+   process-wide material cache ({!Ac3_crypto.Mss}), while [Keys.fresh]
+   still hands each run its own unconsumed signature counter. The
+   background-load pairs (spec.load - 1 extra swaps, two parties each)
+   must exist at genesis to be premined; with load = 1 the list is
+   empty. *)
+let identities spec =
+  Scenarios.identities ~ns:"chaos" ~fresh:true spec.Plan.parties
+  @ List.init (2 * (spec.Plan.load - 1)) (fun k -> Keys.fresh (Printf.sprintf "chaos:bg%d" k))
 
-(* The identity labels a (spec, protocol) run will create in
-   [build_universe]: the namespaced protocol parties plus the
-   background-load pairs. Must mirror that function exactly — the
-   warm-up below only pays off for labels that are later requested. *)
-let shard_labels ~spec ~protocols =
-  List.concat_map
-    (fun protocol ->
-      let ns = Printf.sprintf "chaos%d-%s" spec.Plan.seed (protocol_name protocol) in
-      Scenarios.identity_labels ~ns spec.Plan.parties
-      @ List.init (2 * (spec.Plan.load - 1)) (fun k -> Printf.sprintf "%s:bg%d" ns k))
-    protocols
-
-(* Fan MSS key-material generation for [labels] over pool domains before
-   the runs build their universes. Key material is immutable and a pure
-   function of the label ({!Keys.warm}), and the scatter is uncounted
-   ({!Pool.prewarm}), so a sharded run is byte-identical to an
-   unsharded one — only WHERE the keygen work happens moves. Bounded by
-   the material-cache capacity (warming past it would only churn the
-   cache) and a no-op inside a pool task, where a nested pool would be
-   rejected and the coordinating sweep has already warmed the cache. *)
-let shard_warmup ?jobs labels =
-  if not (Pool.in_task ()) then begin
-    let bounded = List.filteri (fun i _ -> i < Ac3_crypto.Mss.material_cap) labels in
-    Pool.prewarm ?jobs (List.map (fun label () -> Keys.warm label) bounded)
-  end
-
-let build_universe ?instrument ~spec ~protocol () =
-  let ns = Printf.sprintf "chaos%d-%s" spec.Plan.seed (protocol_name protocol) in
-  let ids = Scenarios.identities ~ns ~fresh:true spec.Plan.parties in
-  (* Background-load identities (spec.load - 1 extra swaps, two parties
-     each) must exist at genesis to be premined; with load = 1 the list
-     is empty and the universe is byte-identical to before the knob. *)
-  let bg_ids =
-    List.init
-      (2 * (spec.Plan.load - 1))
-      (fun k -> Keys.fresh (Printf.sprintf "%s:bg%d" ns k))
-  in
+let build_universe ?instrument ~spec () =
+  let all_ids = identities spec in
+  let ids = List.filteri (fun i _ -> i < spec.Plan.parties) all_ids in
   let universe, participants =
     Scenarios.make_universe ~seed:spec.Plan.seed ~block_interval ~confirm_depth ~nodes:2
-      ?instrument ~chains:(Plan.chain_names spec) (ids @ bg_ids) ()
+      ?instrument ~chains:(Plan.chain_names spec) all_ids ()
   in
   Universe.run_until universe warmup;
   let main = List.filteri (fun i _ -> i < spec.Plan.parties) participants in
@@ -207,9 +182,8 @@ let launch_background ~universe ~spec ~bg =
       in
       Nolan.launch universe ~config ~graph ~participants:[ pa; pb ] ())
 
-let run_one ?instrument ?(shard_chains = false) ~spec ~plan ~protocol () =
-  if shard_chains then shard_warmup (shard_labels ~spec ~protocols:[ protocol ]);
-  let universe, participants, ids, bg = build_universe ?instrument ~spec ~protocol () in
+let run_one ?instrument ~spec ~plan ~protocol () =
+  let universe, participants, ids, bg = build_universe ?instrument ~spec () in
   let run_span =
     Span.enter (Universe.spans universe)
       ~attrs:
@@ -356,9 +330,8 @@ let report_fingerprint r =
    [sanitize] re-executes sampled runs and compares report fingerprints
    — sound here because every run rebuilds its universe and identities
    from the spec seed alone. *)
-let run_all ?(protocols = all_protocols) ?(jobs = 1) ?(sanitize = false) ?instrument
-    ?(shard_chains = false) ~spec ~plan () =
-  if shard_chains then shard_warmup ~jobs (shard_labels ~spec ~protocols);
+let run_all ?(protocols = all_protocols) ?(jobs = 1) ?(sanitize = false) ?instrument ~spec ~plan
+    () =
   Pool.map ~jobs ~sanitize ~fingerprint:report_fingerprint
     (fun protocol -> run_one ?instrument ~spec ~plan ~protocol ())
     protocols
@@ -429,20 +402,10 @@ let tally c = function
    [on_report] callback are therefore byte-identical for every [jobs]
    (locked in by test/test_par.ml). *)
 let sweep ?(protocols = all_protocols) ?on_report ?(jobs = 1) ?(instrument = true)
-    ?(sanitize = false) ?(load = 1) ?(shard_chains = false) ~seed ~runs () =
+    ?(sanitize = false) ?(load = 1) ~seed ~runs () =
   let sweep_task_fingerprint (run_seed, reports) =
     String.concat "\n" (string_of_int run_seed :: List.map report_fingerprint reports)
   in
-  (* Warm key material for every (run, protocol) the sweep will execute.
-     [Plan.sample] is pure, so resampling the specs here costs only the
-     sampling itself and names exactly the labels the runs will use. *)
-  if shard_chains then
-    shard_warmup ~jobs
-      (List.concat_map
-         (fun k ->
-           let spec, _plan = Plan.sample ~load ~seed:(seed + k) () in
-           shard_labels ~spec ~protocols)
-         (List.init runs Fun.id));
   let reports_by_run =
     Pool.run ~jobs ~sanitize ~fingerprint:sweep_task_fingerprint
       (List.init runs (fun k () ->

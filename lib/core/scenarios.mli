@@ -8,16 +8,13 @@ open Ac3_chain
 (** Genesis funding per identity per chain. *)
 val funding : Amount.t
 
-(** The labels {!identities} would use for the first [n] participants
-    under namespace [ns] — for warming the key-material cache
-    ({!Keys.warm}) in parallel before building identities. *)
-val identity_labels : ?ns:string -> int -> string list
-
-(** The first [n] of alice, bob, carol, ... — namespaced by [ns] so
-    separate runs get fresh (unexhausted) MSS signing keys. [fresh]
-    additionally bypasses the key cache ({!Keys.fresh}), so repeated
-    calls with the same namespace are stateless replicas — required for
-    byte-identical replay of the same run. *)
+(** The first [n] of alice, bob, carol, ..., labelled [ns ^ ":" ^ name]
+    when [ns] is given. Labels fix the key material, which is built once
+    per process. Without [fresh], repeated calls share each label's
+    stateful signer ({!Keys.create}); with [fresh], every call gets its
+    own unconsumed signature counters ({!Keys.fresh}), so repeated
+    calls are stateless replicas — required for byte-identical replay
+    of the same run. *)
 val identities : ?ns:string -> ?fresh:bool -> int -> Keys.t list
 
 (** Fast generic chain parameters for protocol experiments. *)

@@ -4,9 +4,10 @@
    Identities are deterministic from a seed string, so simulated
    participants ("alice", "bob", miners, ...) are reproducible. Key
    generation is the expensive step (2^height WOTS key generations), so
-   generated key material is memoized by (seed, height); callers that need
-   independent signers across trials should embed the trial id in the
-   seed. *)
+   the immutable key material is memoized process-wide by (seed, height)
+   ({!Mss}). [create] also shares the stateful signer across calls;
+   callers that need independent signers across trials use [fresh],
+   which reuses the material but starts a new signature counter. *)
 
 type public = string (* 32-byte MSS root *)
 
@@ -74,22 +75,14 @@ let create ?(height = default_height) label =
   in
   { label; secret; public = Mss.public secret }
 
-(* Same key material as [create] but never memoized: every call starts
-   with a full, unconsumed signature budget. Repeated identical runs
-   (chaos replays) need this — sharing a cached secret across runs would
-   leak signature-counter state from one run into the next. *)
+(* Same key material as [create] (served from the {!Mss} material
+   cache), but the signer itself is never shared: every call starts with
+   a full, unconsumed signature budget. Repeated identical runs (chaos
+   replays) need this — sharing a cached secret across runs would leak
+   signature-counter state from one run into the next. *)
 let fresh ?(height = default_height) label =
   let secret = generate_secret ~height label in
   { label; secret; public = Mss.public secret }
-
-(* Build the key material for [label] into the process-wide material
-   cache ({!Mss}) without handing out an identity. The sharded chaos
-   runner fans these out over pool worker domains before building a
-   universe; the later [create]/[fresh] on the coordinating domain then
-   finds the material ready. Material is immutable and a pure function
-   of the label, so warming from any domain is semantically invisible. *)
-let warm ?(height = default_height) label =
-  if Ac3_fast.Memo.enabled () then ignore (generate_secret ~height label : Mss.secret)
 
 let label t = t.label
 
@@ -130,13 +123,6 @@ let verify pk msg signature =
         (* Malformed pk or signature shapes can't be framed; verify
            directly (the answer is [false] anyway). *)
         Mss.verify pk msg signature
-
-(* Warm-up hook for the sharded miner: verdicts computed on pool worker
-   domains are inserted into the coordinating domain's table here. *)
-let memoize_verification pk msg signature verdict =
-  match verify_key pk msg signature with
-  | key -> Ac3_fast.Memo.add verify_memo key verdict
-  | exception _ -> ()
 
 let pp_public ppf pk = Fmt.string ppf (Hex.short pk)
 

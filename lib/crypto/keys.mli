@@ -1,7 +1,8 @@
 (** End-user identities over the MSS many-time signature scheme.
 
-    Deterministic from a label; key material is memoized by
-    (label, height). Each identity can produce [2^height] signatures. *)
+    Deterministic from a label; the immutable key material is memoized
+    process-wide by (label, height). Each identity can produce
+    [2^height] signatures. *)
 
 type public = string
 
@@ -13,16 +14,18 @@ type t
 val address_len : int
 
 (** [create ?height label] is the identity for [label]. Repeated calls
-    with the same label share the (stateful) signing key. The memo
+    with the same label share the (stateful) signing key, signature
+    counter included — use {!fresh} for independent signers. The memo
     table is mutex-protected, so concurrent domains may create
     identities freely; note that {!sign} on one shared identity is
     still a single-domain affair (the signature counter is not
     atomic) — parallel runs use {!fresh} or per-task labels. *)
 val create : ?height:int -> string -> t
 
-(** Like {!create} but never memoized: a full, unconsumed signature
-    budget on every call. For repeated identical runs (chaos replays)
-    that must not share signature-counter state. *)
+(** Like {!create}, but the signer is never shared: the same key
+    material and public key (built once per process), with a full,
+    unconsumed signature budget on every call. For repeated identical
+    runs (chaos replays) that must not share signature-counter state. *)
 val fresh : ?height:int -> string -> t
 
 (** Test-only: [true] restores the unlocked memo-table path from before
@@ -32,12 +35,6 @@ val fresh : ?height:int -> string -> t
     reintroduce that bug and prove it is detected. Never set this
     outside tests. *)
 val test_only_unlocked_cache : bool ref
-
-(** [warm label] builds the key material for [label] into the
-    process-wide material cache without creating an identity, so a later
-    {!create}/{!fresh} with the same label (and height) is a cache hit.
-    Safe from any domain; a no-op when memoization is disabled. *)
-val warm : ?height:int -> string -> unit
 
 val label : t -> string
 
@@ -57,13 +54,6 @@ val sign : t -> string -> signature
 (** Verify a signature. Verdicts are memoized by the full
     (pk, msg, signature) serialization — see {!Ac3_fast.Memo}. *)
 val verify : public -> string -> signature -> bool
-
-(** [memoize_verification pk msg signature verdict] warms the
-    verification memo of the calling domain with an already-computed
-    verdict. [verdict] MUST equal [verify pk msg signature]; the
-    sharded miner uses this to transfer verdicts computed on pool
-    worker domains back to the coordinating domain. *)
-val memoize_verification : public -> string -> signature -> bool -> unit
 
 val pp_public : Format.formatter -> public -> unit
 

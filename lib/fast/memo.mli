@@ -10,9 +10,7 @@
 
     Tables are domain-local: each domain of a parallel sweep warms its
     own cache, so lookups take no lock and cannot interleave across
-    domains. A cache can also be warmed explicitly with [add] (the
-    [--shard-chains] path computes entries on pool workers and inserts
-    the results in the coordinating domain).
+    domains.
 
     [set_enabled false] turns every table into a pass-through — the
     reference mode the differential tests diff against. *)
@@ -26,8 +24,6 @@ val create : name:string -> cap:int -> 'a t
 
 val find : 'a t -> string -> 'a option
 
-val add : 'a t -> string -> 'a -> unit
-
 (** [memo t key f] — cached [f ()], computing and remembering on miss. *)
 val memo : 'a t -> string -> (unit -> 'a) -> 'a
 
@@ -38,7 +34,7 @@ val clear : 'a t -> unit
 val clear_all : unit -> unit
 
 (** Global switch, [true] by default. With [false] every [find] misses
-    and every [add] is dropped. *)
+    and [memo] always recomputes. *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool

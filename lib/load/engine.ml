@@ -160,8 +160,10 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
     let rec go h = if h >= 16 || 1 lsl h >= n + 8 then h else go (h + 1) in
     go 6
   in
-  (* Identities are namespaced by seed and never memoized: parallel
-     sweep tasks must not share (or exhaust) MSS signing keys. *)
+  (* [Keys.fresh] gives every universe its own signature counters while
+     the key material itself comes from the process-wide cache. The
+     labels keep the seed because load outcomes depend on the
+     identities: relabelling would change the goldens. *)
   let ids =
     Array.init config.users (fun i ->
         Keys.fresh ~height:(height_for ac3wn_swaps.(i)) (Printf.sprintf "load-%d:u%d" seed i))

@@ -1,6 +1,7 @@
 (* Chaos harness tests: plan determinism and serialization, the
    replay-equals-original property, the committed reproducer corpus, and
-   a bounded smoke sweep over randomized universes.
+   a bounded smoke sweep over randomized universes, key-material reuse
+   across runs, and the golden output of one fixed sweep.
 
    Everything here is seeded: a failure always reproduces with
    `ac3 chaos --seed <n> --runs 1`. The longer 200-run sweep lives
@@ -14,6 +15,8 @@ module Shrink = Ac3_chaos.Shrink
 module Repro = Ac3_chaos.Repro
 module Json = Ac3_crypto.Codec.Json
 module Trace = Ac3_sim.Trace
+module Keys = Ac3_crypto.Keys
+module Profile = Ac3_fast.Profile
 
 let trace_string t = Fmt.str "%a" Trace.pp t
 
@@ -197,6 +200,74 @@ let test_smoke_sweep () =
   Alcotest.(check bool) "herlihy also commits under benign plans" true
     (herlihy.Runner.committed > 0)
 
+(* --- key material: built once per label, not once per run -------------- *)
+
+module Labels = Set.Make (String)
+
+let keygen_calls () =
+  List.fold_left
+    (fun acc (name, calls, _) -> if name = "crypto.keygen" then calls else acc)
+    0 (Profile.report ())
+
+let sweep_specs ~seed ~runs = List.init runs (fun k -> fst (Plan.sample ~seed:(seed + k) ()))
+
+let requested_labels specs =
+  List.fold_left
+    (fun acc spec ->
+      List.fold_left (fun acc id -> Labels.add (Keys.label id) acc) acc (Runner.identities spec))
+    Labels.empty specs
+
+let max_chains specs = List.fold_left (fun acc s -> max acc s.Plan.nchains) 0 specs
+
+(* Labels depend on the identity's position, never on the run's seed or
+   protocol, so a second sweep builds key material only for labels the
+   first did not request. Per-run labels would cost one keygen per party
+   per (plan, protocol) run instead. *)
+let test_keygen_per_label () =
+  let first = sweep_specs ~seed:1 ~runs:3 and second = sweep_specs ~seed:11 ~runs:3 in
+  (* Miner identities are per chain: the first sweep covers every chain
+     the second uses, so their key material is already built. *)
+  Alcotest.(check bool) "first sweep covers the second's chains" true
+    (max_chains second <= max_chains first);
+  let second_keygens =
+    Profile.enable ();
+    Fun.protect ~finally:Profile.disable (fun () ->
+        ignore (Runner.sweep ~jobs:1 ~instrument:false ~seed:1 ~runs:3 () : Runner.summary);
+        Profile.reset ();
+        ignore (Runner.sweep ~jobs:1 ~instrument:false ~seed:11 ~runs:3 () : Runner.summary);
+        keygen_calls ())
+  in
+  let fresh_labels = Labels.diff (requested_labels second) (requested_labels first) in
+  Alcotest.(check bool)
+    (Printf.sprintf "second sweep: %d keygens <= %d new labels" second_keygens
+       (Labels.cardinal fresh_labels))
+    true
+    (second_keygens <= Labels.cardinal fresh_labels);
+  List.iter
+    (fun spec ->
+      Alcotest.(check (list string)) "labels independent of the seed"
+        (List.map Keys.label (Runner.identities spec))
+        (List.map Keys.label (Runner.identities { spec with Plan.seed = spec.Plan.seed + 1 })))
+    (first @ second)
+
+(* --- golden output ------------------------------------------------------ *)
+
+(* SHA-256 of the rendered summary (the CLI's stdout for `ac3 chaos
+   --seed 7 --runs 20 --jobs 1`) and of the sweep's metrics JSON. Any
+   change to chaos output, intended or not, must update these. *)
+let golden_summary_sha256 = "b8b10d519a6f548e7be27636a172da4a79cfa22be53534ab11999d462e7d422d"
+
+let golden_metrics_sha256 = "301fcd88c3d5ab715af496ff4a2fcbb596e5414565b8483c2cf272a220810748"
+
+let test_golden_sweep () =
+  let summary = Runner.sweep ~jobs:1 ~seed:7 ~runs:20 () in
+  let sha256 s = Ac3_crypto.Hex.encode (Ac3_crypto.Sha256.digest s) in
+  Alcotest.(check string) "summary" golden_summary_sha256
+    (sha256 (Fmt.str "%a@." Runner.pp_summary summary));
+  Alcotest.(check string) "metrics" golden_metrics_sha256
+    (sha256
+       (Json.to_string_pretty (Ac3_obs.Metrics.to_json summary.Runner.obs.Ac3_obs.Obs.metrics)))
+
 (* --- shrinking --------------------------------------------------------- *)
 
 (* Shrinking a known violation drops irrelevant faults and the result
@@ -242,7 +313,12 @@ let () =
           Alcotest.test_case "every reproducer replays" `Quick test_corpus_replays;
           Alcotest.test_case "sec 3 crash schedule present" `Quick test_corpus_has_crash_schedule;
         ] );
-      ( "sweep", [ Alcotest.test_case "50-run smoke sweep" `Slow test_smoke_sweep ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "50-run smoke sweep" `Slow test_smoke_sweep;
+          Alcotest.test_case "keygen per label, not per run" `Slow test_keygen_per_label;
+          Alcotest.test_case "seed 7 golden output" `Slow test_golden_sweep;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "seed 92 shrinks to a crash" `Slow test_shrink_seed_92;

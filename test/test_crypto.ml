@@ -387,6 +387,19 @@ let test_keys_address_len () =
   let id = Keys.create "addr-crypto-test" in
   Alcotest.(check int) "20 bytes" Keys.address_len (String.length (Keys.address id))
 
+(* [fresh] shares the label's key material but never its signer: every
+   call starts a full budget, and signing with one leaves the other's
+   counter untouched. *)
+let test_keys_fresh_independent_budgets () =
+  let a = Keys.fresh ~height:3 "fresh-crypto-test" in
+  let b = Keys.fresh ~height:3 "fresh-crypto-test" in
+  Alcotest.(check string) "same public key" (Keys.public a) (Keys.public b);
+  Alcotest.(check int) "a starts full" 8 (Keys.remaining_signatures a);
+  Alcotest.(check int) "b starts full" 8 (Keys.remaining_signatures b);
+  ignore (Keys.sign a "payload" : Keys.signature);
+  Alcotest.(check int) "a spent one" 7 (Keys.remaining_signatures a);
+  Alcotest.(check int) "b untouched" 8 (Keys.remaining_signatures b)
+
 (* --- Multisig ------------------------------------------------------------ *)
 
 let test_multisig_verify () =
@@ -560,6 +573,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_keys_deterministic;
           Alcotest.test_case "sign/verify" `Quick test_keys_sign_verify;
           Alcotest.test_case "address length" `Quick test_keys_address_len;
+          Alcotest.test_case "fresh signers have independent budgets" `Quick
+            test_keys_fresh_independent_budgets;
         ] );
       ( "multisig",
         [

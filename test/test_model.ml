@@ -192,7 +192,7 @@ let test_counterexample_replays () =
   let spec =
     { Plan.seed = 2026; shape = Plan.Two_party; parties = 2; nchains = 2; extra_edges = 0; load = 1 }
   in
-  let ids = Scenarios.identities ~ns:"chaos2026-herlihy" ~fresh:true 2 in
+  let ids = Runner.identities spec in
   let graph = Runner.build_graph ~spec ~ids ~timestamp:1.0 in
   let r = Checker.check ~config:(config ()) ~protocol:Checker.Herlihy ~graph in
   Alcotest.(check bool) "static violation found" true (r.Checker.violations <> []);
