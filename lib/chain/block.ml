@@ -53,16 +53,7 @@ let hash t = hash_header t.header
 
 let genesis_parent = String.make 32 '\x00'
 
-(* Root memo keyed by the concatenated txids (fixed 32-byte records, so
-   the key is self-delimiting). Candidate assembly and body validation
-   recompute the same commitment; the per-node memos inside
-   [Merkle.root] additionally make a near-miss (one tx appended) reuse
-   the shared subtree hashes. *)
-let merkle_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"block.merkle" ~cap:1024
-
-let merkle_root_of_txs txs =
-  let ids = List.map Tx.txid txs in
-  Ac3_fast.Memo.memo merkle_memo (String.concat "" ids) (fun () -> Merkle.root ids)
+let merkle_root_of_txs txs = Merkle.root (List.map Tx.txid txs)
 
 (* Inclusion proof for the [i]-th transaction; verified by light clients
    and by cross-chain evidence checks. *)
@@ -123,7 +114,3 @@ let mine ~chain ~height ~parent ~time ~target ~txs =
   { header = { base with nonce }; txs }
 
 let pp_id ppf t = Fmt.pf ppf "%s@%d" (Hex.short (hash t)) t.header.height
-
-let pp_header ppf h =
-  Fmt.pf ppf "%s h=%d parent=%s time=%.1f" (Hex.short (hash_header h)) h.height
-    (Hex.short h.parent) h.time

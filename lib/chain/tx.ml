@@ -94,15 +94,7 @@ let encode_body w t =
   Amount.encode w t.fee;
   Codec.Writer.i64 w t.nonce
 
-(* Sighash memo, keyed by the full serialized body — any change to the
-   signed fields changes the key, so a mutated transaction can never be
-   served a stale hash. Signing and per-input verification both hash
-   the same body; with several inputs the body is serialized once. *)
-let sighash_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"tx.sighash" ~cap:4096
-
-let sighash t =
-  let body = Codec.encode encode_body t in
-  Ac3_fast.Memo.memo sighash_memo body (fun () -> Sha256.digest_list [ "tx-sighash"; body ])
+let sighash t = Sha256.digest_list [ "tx-sighash"; Codec.encode encode_body t ]
 
 let encode w t =
   encode_body w t;

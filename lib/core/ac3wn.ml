@@ -598,8 +598,5 @@ let execute universe ~config ~graph ~participants ?hooks ?abort_after ?verify ()
   in
   finish h
 
-(* Total fees paid across the run, and per participant. *)
+(* Total fees paid across the run. *)
 let total_fees result = Amount.sum (List.map (fun f -> f.fee) result.fees)
-
-let fees_by result pk =
-  Amount.sum (List.filter_map (fun f -> if f.payer = pk then Some f.fee else None) result.fees)

@@ -91,6 +91,3 @@ val execute :
 
 (** Sum of all fees paid during the run. *)
 val total_fees : result -> Amount.t
-
-(** Fees paid by one participant. *)
-val fees_by : result -> Keys.public -> Amount.t

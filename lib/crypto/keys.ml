@@ -17,14 +17,8 @@ type t = { label : string; secret : Mss.secret; public : public }
 
 let address_len = 20
 
-(* Address = truncated hash of the public key, like Bitcoin's HASH160.
-   Memoized by the public key itself: input resolution re-derives the
-   owner address of every spent input on every admission poll. *)
-let address_memo : string Ac3_fast.Memo.t = Ac3_fast.Memo.create ~name:"keys.address" ~cap:1024
-
-let address_of_public pk =
-  Ac3_fast.Memo.memo address_memo pk (fun () ->
-      String.sub (Sha256.digest_list [ "addr"; pk ]) 0 address_len)
+(* Address = truncated hash of the public key, like Bitcoin's HASH160. *)
+let address_of_public pk = String.sub (Sha256.digest_list [ "addr"; pk ]) 0 address_len
 
 (* The memo table is shared process state: parallel sweeps (ac3_par
    domains) create identities concurrently, so every access holds the
@@ -123,8 +117,6 @@ let verify pk msg signature =
         (* Malformed pk or signature shapes can't be framed; verify
            directly (the answer is [false] anyway). *)
         Mss.verify pk msg signature
-
-let pp_public ppf pk = Fmt.string ppf (Hex.short pk)
 
 let encode_signature = Mss.encode_signature
 

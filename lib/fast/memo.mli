@@ -1,5 +1,5 @@
 (** Content-addressed memo tables for pure, expensive functions
-    (signature verification, transaction ids, Merkle roots).
+    (signature verification, transaction ids, block header hashes).
 
     Keys are the FULL serialized input — structural identity, never
     physical identity — so mutating a value after its first digest
@@ -22,19 +22,14 @@ type 'a t
     phase-local enough that rebuilding is cheap). *)
 val create : name:string -> cap:int -> 'a t
 
-val find : 'a t -> string -> 'a option
-
 (** [memo t key f] — cached [f ()], computing and remembering on miss. *)
 val memo : 'a t -> string -> (unit -> 'a) -> 'a
-
-(** Drop the current domain's entries of this table. *)
-val clear : 'a t -> unit
 
 (** Drop the current domain's entries of every table ever created. *)
 val clear_all : unit -> unit
 
-(** Global switch, [true] by default. With [false] every [find] misses
-    and [memo] always recomputes. *)
+(** Global switch, [true] by default. With [false] [memo] always
+    recomputes. *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool

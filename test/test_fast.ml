@@ -1,25 +1,26 @@
 (* Differential harness for the lib/fast hot-path optimizations.
 
    Three rewrites ride behind existing interfaces: the index-sorted
-   arena event queue (Ac3_sim.Engine), content-addressed digest
-   memoization (Ac3_crypto, Ac3_chain), and incremental UTXO/ledger
-   indexing across reorgs (Ac3_chain.Store). Each must be observably
-   identical to its slow reference:
+   arena event queue (Ac3_sim.Engine), content-addressed memoization of
+   txids, block header hashes and signature verdicts (Ac3_crypto.Keys,
+   Ac3_chain), and incremental UTXO/ledger indexing across reorgs
+   (Ac3_chain.Store). Each must be observably identical to its slow
+   reference:
 
    - the engine is diffed event-by-event against the boxed-heap
      implementation it replaced (Reference.Engine) over randomized
      schedule/cancel/advance scripts;
-   - every digest path is computed with memo tables on and off
+   - every memoized path is computed with memo tables on and off
      (Ac3_fast.Memo.set_enabled) and the results compared, including
      after in-place mutation of already-hashed values;
    - reorged stores are diffed against fresh stores that only ever saw
-     the winning branch, and chaos sweeps and corpus replays are
-     rendered byte-for-byte under --jobs {1,2,4} and memo on/off. *)
+     the winning branch, and chaos sweeps, a load run and corpus
+     replays are rendered byte-for-byte under --jobs {1,2,4} and memo
+     on/off. *)
 
 module Engine = Ac3_sim.Engine
 module Memo = Ac3_fast.Memo
 module Sha256 = Ac3_crypto.Sha256
-module Merkle = Ac3_crypto.Merkle
 module Keys = Ac3_crypto.Keys
 module Json = Ac3_crypto.Codec.Json
 module Runner = Ac3_chaos.Runner
@@ -180,7 +181,7 @@ let output_gen =
       (fun tag amount -> { Tx.addr = String.sub (Sha256.digest ("fast-addr:" ^ string_of_int tag)) 0 20; amount = Amount.of_int (amount + 1) })
       (int_bound 1000) (int_bound 1_000_000))
 
-(* Unsigned transactions: enough to drive txid/sighash without spending
+(* Unsigned transactions: enough to drive txids without spending
    signature budget per iteration. *)
 let tx_gen =
   QCheck.Gen.(
@@ -195,20 +196,20 @@ let tx_gen =
 let tx_arb = QCheck.make ~print:(fun tx -> hex (Tx.txid tx)) tx_gen
 
 let qcheck_txid_memo_differential =
-  QCheck.Test.make ~name:"txid/sighash: memoized == recomputed" ~count:100 tx_arb (fun tx ->
-      let id1 = Tx.txid tx and sh1 = Tx.sighash tx in
-      let id2 = Tx.txid tx and sh2 = Tx.sighash tx in
-      let id0, sh0 = memo_off (fun () -> (Tx.txid tx, Tx.sighash tx)) in
-      String.equal id1 id2 && String.equal id1 id0 && String.equal sh1 sh2
-      && String.equal sh1 sh0)
+  QCheck.Test.make ~name:"txid: memoized == recomputed" ~count:100 tx_arb (fun tx ->
+      let id1 = Tx.txid tx in
+      let id2 = Tx.txid tx in
+      let id0 = memo_off (fun () -> Tx.txid tx) in
+      String.equal id1 id2 && String.equal id1 id0)
 
+(* The block commitment is a Merkle root over memoized txids. *)
 let qcheck_merkle_memo_differential =
-  QCheck.Test.make ~name:"merkle root: memoized == recomputed" ~count:100
-    QCheck.(list_of_size Gen.(0 -- 12) (string_of_size Gen.(0 -- 40)))
-    (fun leaves ->
-      let r1 = Merkle.root leaves in
-      let r2 = Merkle.root leaves in
-      let r0 = memo_off (fun () -> Merkle.root leaves) in
+  QCheck.Test.make ~name:"tx root over memoized txids" ~count:100
+    QCheck.(list_of_size Gen.(0 -- 12) tx_arb)
+    (fun txs ->
+      let r1 = Block.merkle_root_of_txs txs in
+      let r2 = Block.merkle_root_of_txs txs in
+      let r0 = memo_off (fun () -> Block.merkle_root_of_txs txs) in
       String.equal r1 r2 && String.equal r1 r0)
 
 (* A small pool of real signatures, signed once at module init. *)
@@ -386,7 +387,7 @@ let test_reorg_differential () =
   Alcotest.(check string) "reorged store == fresh store (memo off)" c_off a_off;
   Alcotest.(check string) "memo on == memo off" a_on a_off
 
-(* --- Chaos sweeps: jobs x memo byte-identity ------------------------- *)
+(* --- Chaos sweeps and load runs: jobs x memo byte-identity ------------ *)
 
 let summary_render (s : Runner.summary) =
   Fmt.str "%a" Runner.pp_summary s ^ "\n" ^ Json.to_string (Metrics.to_json s.Runner.obs.Obs.metrics)
@@ -395,12 +396,36 @@ let test_sweep_jobs_differential () =
   let sweep ~jobs = summary_render (Runner.sweep ~jobs ~seed:1 ~runs:2 ()) in
   let base = sweep ~jobs:1 in
   List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "sweep(jobs=%d) == sweep(jobs=1)" jobs)
-        true
-        (String.equal base (sweep ~jobs)))
-    [ 2; 4 ]
+    (fun (name, render) ->
+      Alcotest.(check bool) (name ^ " == sweep(jobs=1)") true (String.equal base (render ())))
+    [
+      ("sweep(jobs=2)", fun () -> sweep ~jobs:2);
+      ("sweep(jobs=4)", fun () -> sweep ~jobs:4);
+      ("sweep(jobs=1, memo off)", fun () -> memo_off (fun () -> sweep ~jobs:1));
+    ]
+
+(* One contended load run, where the txid and header-hash tables see
+   most of their hits: memo on and off must agree on the report and on
+   every metric. *)
+let test_load_memo_differential () =
+  let config =
+    {
+      Ac3_load.Workload.default with
+      Ac3_load.Workload.swaps = 12;
+      users = 6;
+      chains = 2;
+      arrival = Ac3_load.Workload.Open_loop { rate = 0.5 };
+      deadline = 300.0;
+    }
+  in
+  let render () =
+    let report, obs = Ac3_load.Engine.run ~seed:5 config in
+    (Ac3_load.Engine.render report, Json.to_string (Metrics.to_json obs.Obs.metrics))
+  in
+  let report_on, metrics_on = render () in
+  let report_off, metrics_off = memo_off render in
+  Alcotest.(check string) "load report: memo on == memo off" report_off report_on;
+  Alcotest.(check string) "load metrics: memo on == memo off" metrics_off metrics_on
 
 let read_file path =
   let ic = open_in_bin path in
@@ -449,6 +474,7 @@ let () =
       ( "sweep-differential",
         [
           Alcotest.test_case "jobs byte-identity" `Slow test_sweep_jobs_differential;
+          Alcotest.test_case "load run memo on/off" `Slow test_load_memo_differential;
           Alcotest.test_case "corpus replay memo on/off" `Slow
             test_corpus_replay_memo_differential;
         ] );

@@ -1,7 +1,8 @@
 (* Tests for the load engine: workload sampling determinism, Zipf
    popularity skew, conservation of value under many concurrent swaps,
-   byte-identical sweeps across --jobs, and the atomicity invariants the
-   load report classifies against. *)
+   byte-identical sweeps across --jobs, the atomicity invariants the
+   load report classifies against, and the golden output of one fixed
+   sweep. *)
 
 module Rng = Ac3_sim.Rng
 module Amount = Ac3_chain.Amount
@@ -225,6 +226,25 @@ let test_engine_sweep_jobs_byte_identical () =
   Alcotest.(check string) "metrics jobs 4 = jobs 1" (metrics_fingerprint s1.Engine.obs)
     (metrics_fingerprint s4.Engine.obs)
 
+(* --- golden output ------------------------------------------------------ *)
+
+(* SHA-256 of [render_sweep] (the CLI's stdout) and of the pretty metrics
+   JSON (its --metrics-out file) for one fixed sweep that commits, aborts,
+   times out and settles mixed. Any change to load output, intended or
+   not, must update these. *)
+let golden_render_sha256 = "5a61aeeabc681511a30c11bb8f3ffa3a965e2bdf19444f5fc1f4911d440ef0d1"
+
+let golden_metrics_sha256 = "8721419483d4f5ffb0e695ca68f4d893c2912a709e21c6d0530a8aed6b63da1b"
+
+let test_golden_sweep () =
+  let summary =
+    Engine.sweep ~jobs:1 ~seed:5 ~runs:3 { engine_config with Workload.swaps = 40 }
+  in
+  let sha256 s = Ac3_crypto.Hex.encode (Ac3_crypto.Sha256.digest s) in
+  Alcotest.(check string) "render" golden_render_sha256 (sha256 (Engine.render_sweep summary));
+  Alcotest.(check string) "metrics" golden_metrics_sha256
+    (sha256 (Json.to_string_pretty (Metrics.to_json summary.Engine.obs.Obs.metrics)))
+
 let () =
   Alcotest.run "load"
     [
@@ -251,5 +271,6 @@ let () =
           Alcotest.test_case "non-atomic never ac3wn" `Slow test_engine_non_atomic_never_ac3wn;
           Alcotest.test_case "sweep byte-identical across jobs" `Slow
             test_engine_sweep_jobs_byte_identical;
+          Alcotest.test_case "golden output" `Slow test_golden_sweep;
         ] );
     ]
