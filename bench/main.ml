@@ -756,6 +756,20 @@ let arena_dispatch_run n acc =
   done;
   ignore (Engine.run e)
 
+(* The grinding loop [Block.mine] ran before the C grinder: patch the
+   nonce (the header's last 8 bytes) in place and double-hash through
+   the one-shot digests. test/reference.ml keeps the same loop for the
+   differential tests; this copy puts a number on the comparison. *)
+let ocaml_grind ~target header =
+  let buf = Bytes.of_string header in
+  let len = Bytes.length buf in
+  let rec go nonce =
+    Bytes.set_int64_be buf (len - 8) nonce;
+    if Pow.meets_target ~hash:(Sha256.digest (Sha256.digest_bytes buf 0 len)) ~target then nonce
+    else go (Int64.add nonce 1L)
+  in
+  go 0L
+
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -934,6 +948,30 @@ let fast_bench ~runs () =
   let dispatch_x = boxed_s /. arena_s in
   Fmt.pr "  event dispatch:      %7.1f ms -> %7.1f ms  (%.2fx)@." (1000. *. boxed_s)
     (1000. *. arena_s) dispatch_x;
+  (* Kernel 5: PoW grinding at 8 bits over 100 headers, the C midstate
+     grinder vs the OCaml loop; both must find the same nonces. *)
+  let grind_target = Pow.target_of_bits 8 in
+  let headers =
+    List.init 100 (fun i ->
+        Block.header_bytes
+          {
+            Block.chain = "bench-fast";
+            height = i + 1;
+            parent = Sha256.digest (Printf.sprintf "bench-fast-grind-%d" i);
+            merkle_root = Sha256.digest "bench-fast-root";
+            time = float_of_int i;
+            target = grind_target;
+            nonce = 0L;
+          })
+  in
+  let grind_all f = List.concat (List.init 10 (fun _ -> List.map f headers)) in
+  let ocaml_grind_s, ocaml_nonces = wall (fun () -> grind_all (ocaml_grind ~target:grind_target)) in
+  let c_grind_s, c_nonces = wall (fun () -> grind_all (fun h -> Pow.grind ~target:grind_target h)) in
+  if ocaml_nonces <> c_nonces then failwith "bench-fast: C grinder and OCaml loop found different nonces";
+  let tried = List.fold_left (fun acc n -> acc + Int64.to_int n + 1) 0 c_nonces in
+  let per_nonce s = 1e9 *. s /. float_of_int tried in
+  Fmt.pr "  PoW grind (%d nonces): %5.0f ns/nonce -> %5.0f ns/nonce  (%.2fx)@." tried
+    (per_nonce ocaml_grind_s) (per_nonce c_grind_s) (ocaml_grind_s /. c_grind_s);
   let kernel ns xs =
     Json.Obj [ ("reference_s", Json.Float ns); ("optimized_s", Json.Float xs); ("speedup", Json.Float (ns /. xs)) ]
   in
@@ -962,6 +1000,14 @@ let fast_bench ~runs () =
                         ("speedup", Json.Float reorg_x);
                       ] );
                   ("dispatch_arena", kernel boxed_s arena_s);
+                  ( "pow_grind",
+                    Json.Obj
+                      [
+                        ("nonces", Json.Int tried);
+                        ("reference_s", Json.Float ocaml_grind_s);
+                        ("optimized_s", Json.Float c_grind_s);
+                        ("speedup", Json.Float (ocaml_grind_s /. c_grind_s));
+                      ] );
                 ] );
           ]));
   output_string oc "\n";

@@ -1,7 +1,6 @@
 (* Proof of work: a block header is valid when its double-SHA-256 hash,
    read as a 256-bit big-endian number, is at or below the target. *)
 
-
 (* Target with [bits] required leading zero bits: 2^(256-bits) - 1 encoded
    big-endian over 32 bytes. *)
 let target_of_bits bits =
@@ -28,13 +27,10 @@ let work_of_target target =
     (* 2^256 as a float *)
     1.157920892373162e77 /. (!v +. 1.0)
 
-(* Grind nonces until [hash ~nonce] meets the target. The caller supplies
-   the hash function so mining works on any header layout. Returns the
-   winning nonce. [max_iters] bounds runaway grinding at high difficulty. *)
-let mine ?(max_iters = 100_000_000) ~target hash_of_nonce =
-  let rec go nonce iters =
-    if iters >= max_iters then failwith "Pow.mine: exceeded max iterations";
-    let h = hash_of_nonce nonce in
-    if meets_target ~hash:h ~target then nonce else go (Int64.add nonce 1L) (iters + 1)
-  in
-  go 0L 0
+(* The least nonce that makes the double SHA-256 of [header] (the
+   nonce is its last 8 bytes, big-endian) meet [target]; nonces run from
+   0 and [max_iters] bounds runaway grinding at high difficulty. *)
+let grind ?(max_iters = 100_000_000) ~target header =
+  match Ac3_crypto.Sha256.grind header ~target ~max_iters with
+  | Some nonce -> nonce
+  | None -> failwith "Pow.grind: exceeded max iterations"

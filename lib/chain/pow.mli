@@ -9,7 +9,9 @@ val meets_target : hash:string -> target:string -> bool
 (** Expected number of hashes to find a block at this target. *)
 val work_of_target : string -> float
 
-(** [mine ~target hash_of_nonce] grinds nonces from 0 until the hash meets
-    the target; returns the winning nonce. Raises [Failure] beyond
-    [max_iters]. *)
-val mine : ?max_iters:int -> target:string -> (int64 -> string) -> int64
+(** [grind ~target header] is the least nonce from 0 whose header
+    meets [target]: the nonce is the last 8 bytes of the serialized
+    [header], big-endian, and the hash is its double SHA-256. Raises
+    [Failure] once [max_iters] (default 100M) nonces have missed, and
+    [Invalid_argument] if [target] is not 32 bytes. *)
+val grind : ?max_iters:int -> target:string -> string -> int64

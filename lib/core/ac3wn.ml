@@ -105,17 +105,22 @@ let obs_labels = [ ("protocol", "ac3wn") ]
 (* Evidence bundles are where AC3WN pays its validation bill: each
    carries the header chain from the checkpoint to the proven
    transaction, and the contract walks all of it. Header count and wire
-   bytes are the cost observables. *)
+   bytes are the cost observables. Measuring the bytes re-encodes the
+   whole bundle, so a disabled registry skips the observations (the
+   instruments are still registered, as on every other path). *)
 let observe_evidence run ev =
   let m = Universe.metrics run.universe in
   Metrics.incr (Metrics.counter m ~labels:obs_labels "core.evidence.built");
-  Metrics.observe
-    (Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:100.0 ~buckets:20 "core.evidence.headers")
-    (float_of_int (List.length ev.Evidence.headers));
-  Metrics.observe
-    (Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:20_000.0 ~buckets:20
-       "core.evidence.bytes")
-    (float_of_int (Evidence.size ev))
+  let headers =
+    Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:100.0 ~buckets:20 "core.evidence.headers"
+  in
+  let bytes =
+    Metrics.histogram m ~labels:obs_labels ~lo:0.0 ~hi:20_000.0 ~buckets:20 "core.evidence.bytes"
+  in
+  if Metrics.is_enabled m then begin
+    Metrics.observe headers (float_of_int (List.length ev.Evidence.headers));
+    Metrics.observe bytes (float_of_int (Evidence.size ev))
+  end
 
 let scw_state run =
   match run.scw_id with

@@ -1,21 +1,19 @@
 (* SHA-256 (FIPS 180-4).
 
-   The streaming layer — block buffering, padding, the length suffix —
-   lives here; the compression function itself is a C stub
-   (sha256_stubs.c) that uses the x86 SHA extensions when the CPU has
-   them and a portable scalar loop otherwise. Both paths compute the
-   identical FIPS 180-4 function, verified against the NIST test
-   vectors in the test suite, so digest values are bit-for-bit the same
-   on every machine.
+   All hashing runs in C (sha256_stubs.c), on the x86 SHA extensions
+   when the CPU has them and through a portable scalar loop otherwise.
+   Both paths compute the identical FIPS 180-4 function, verified
+   against the NIST test vectors in the test suite, so digest values
+   are bit-for-bit the same on every machine.
 
    This is the single hottest function in the repository — every WOTS
-   chain step, Merkle node, transaction id and HMAC block lands here.
-   One-shot digests run on a domain-local scratch context instead of
-   allocating a context and block buffer per call; hash-based
-   signatures issue hundreds of thousands of one-shot digests per key
-   generation, so the allocation savings dominate GC time. Whole-block
-   input spans are handed to the stub as one multi-block call, so long
-   messages pay the OCaml->C boundary once. *)
+   chain step, Merkle node, transaction id, PoW nonce and HMAC block
+   lands here. The one-shot digests pad, compress and emit in C with
+   one 32-byte allocation per call. The streaming context below keeps
+   buffering, padding and the length suffix in OCaml for callers that
+   feed a message in pieces or replay a midstate (HMAC, DRBG, WOTS
+   public keys); whole-block input spans go to the stub as one
+   multi-block call, so long messages pay the OCaml->C boundary once. *)
 
 type ctx = {
   h : int array; (* working variables H0..H7, 32-bit values in native ints *)
@@ -36,11 +34,6 @@ external shani_available : unit -> bool = "ac3_sha256_shani_available_stub"
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
 let init () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
-
-let reset ctx =
-  Array.blit iv 0 ctx.h 0 8;
-  ctx.buf_len <- 0;
-  ctx.total <- 0
 
 let copy ctx =
   let c = init () in
@@ -115,43 +108,30 @@ let finalize ctx =
   done;
   Bytes.unsafe_to_string out
 
-(* One-shot digests run on a per-domain scratch context: [digest] cannot
-   re-enter itself (no callbacks), so reuse within a domain is safe, and
-   domains never share a scratch context.
-   ac3-lint: allow D008 — domain-local scratch buffer; the digest value is a pure function of the input *)
-let scratch = Domain.DLS.new_key init
+(* One-shot digests: one C call each, returning a fresh 32-byte string.
+   The slice stub is declared at both string and bytes types; it reads
+   the input and never keeps it. *)
+external digest_sub : string -> int -> int -> string = "ac3_sha256_digest_stub"
 
-(* ac3-lint: allow D008 — reads this domain's own scratch context *)
-let get_scratch () = Domain.DLS.get scratch
+external digest_bytes_sub : Bytes.t -> int -> int -> string = "ac3_sha256_digest_stub"
 
-let digest s =
-  let ctx = get_scratch () in
-  reset ctx;
-  feed_string ctx s;
-  finalize ctx
+(* Double SHA-256, as used by Bitcoin for block and transaction ids. *)
+external digest2 : string -> string = "ac3_sha256_digest2_stub"
 
-(* One-shot digest of a byte-buffer slice, for callers that patch a
-   reusable message buffer in place (WOTS chain steps). *)
+external digest_list : string list -> string = "ac3_sha256_digest_list_stub"
+
+(* Returns the winning nonce, or -1 when [max_iters] nonces all miss. *)
+external grind_stub : string -> string -> int -> int = "ac3_sha256_grind_stub"
+
+let digest s = digest_sub s 0 (String.length s)
+
 let digest_bytes b off len =
-  let ctx = get_scratch () in
-  reset ctx;
-  feed_bytes ctx b off len;
-  finalize ctx
-
-let digest_list parts =
-  let ctx = get_scratch () in
-  reset ctx;
-  List.iter (feed_string ctx) parts;
-  finalize ctx
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Sha256.digest_bytes";
+  digest_bytes_sub b off len
 
 let hexdigest s = Hex.encode (digest s)
 
-(* Double SHA-256, as used by Bitcoin for block and transaction ids. *)
-let digest2 s =
-  let ctx = get_scratch () in
-  reset ctx;
-  feed_string ctx s;
-  let first = finalize ctx in
-  reset ctx;
-  feed_string ctx first;
-  finalize ctx
+let grind header ~target ~max_iters =
+  if String.length header < 8 || String.length target <> 32 then invalid_arg "Sha256.grind";
+  let n = grind_stub header target max_iters in
+  if n < 0 then None else Some (Int64.of_int n)

@@ -1,9 +1,7 @@
-/* SHA-256 compression function (FIPS 180-4), C implementation.
+/* SHA-256 (FIPS 180-4), C implementation.
  *
- * The OCaml side (sha256.ml) keeps the streaming state — buffering,
- * padding, length suffix — and calls down here only for whole 64-byte
- * blocks, the arithmetic core where virtually all cycles go. Two
- * implementations live behind one entry point:
+ * The compression function lives behind one entry point, [blocks],
+ * with two implementations:
  *
  *   - sha256_blocks_shani: x86 SHA extensions (sha256rnds2 et al.),
  *     the Intel-documented round/message-schedule interleaving. One
@@ -16,14 +14,27 @@
  * suite cover the selected path on every machine that runs them. The
  * dispatch is resolved once, the first time a block is compressed.
  *
- * The stub neither allocates on the OCaml heap nor raises, and the
- * state array holds eight immediate ints, so fields are written
- * directly (no caml_modify needed) and the external is [@@noalloc].
+ * Three kinds of caller sit on top of it:
+ *
+ *   - ac3_sha256_compress_stub: whole 64-byte blocks for the OCaml
+ *     streaming context (sha256.ml), which keeps buffering, padding
+ *     and the length suffix. [@@noalloc]; the state array holds eight
+ *     immediate ints, so fields are written directly.
+ *   - the one-shot digests (digest, digest2, digest_list): pad,
+ *     compress and emit here, allocating only the 32-byte result.
+ *   - two loops that hash one message many times with a patched tail:
+ *     the proof-of-work grinder (nonce) and the WOTS chain walk (step
+ *     index and chain value). Each pads once and keeps the state after
+ *     the blocks a patch cannot reach.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <caml/alloc.h>
+#include <caml/fail.h>
 #include <caml/mlvalues.h>
+#include <caml/signals.h>
 
 /* --- portable scalar implementation --------------------------------- */
 
@@ -301,6 +312,18 @@ static blocks_fn resolve(void)
 
 static blocks_fn blocks = NULL;
 
+/* Every caller resolves through here. Two domains racing on the first
+ * call both store the same pointer. */
+static blocks_fn get_blocks(void)
+{
+    blocks_fn f = blocks;
+    if (f == NULL) {
+        f = resolve();
+        blocks = f;
+    }
+    return f;
+}
+
 /* [vh] is an 8-element OCaml int array holding the working variables
  * H0..H7; [vbuf] a Bytes.t with [vnblocks] whole 64-byte blocks at
  * [voff]. Int-array stores are immediates, so plain field writes are
@@ -309,10 +332,9 @@ CAMLprim value ac3_sha256_compress_stub(value vh, value vbuf, value voff,
                                         value vnblocks)
 {
     uint32_t st[8];
-    if (blocks == NULL) blocks = resolve();
     for (int i = 0; i < 8; i++) st[i] = (uint32_t)Long_val(Field(vh, i));
-    blocks(st, (const unsigned char *)Bytes_val(vbuf) + Long_val(voff),
-           (size_t)Long_val(vnblocks));
+    get_blocks()(st, (const unsigned char *)Bytes_val(vbuf) + Long_val(voff),
+                 (size_t)Long_val(vnblocks));
     for (int i = 0; i < 8; i++) Field(vh, i) = Val_long((long)st[i]);
     return Val_unit;
 }
@@ -328,4 +350,248 @@ CAMLprim value ac3_sha256_shani_available_stub(value unit)
 #else
     return Val_false;
 #endif
+}
+
+/* --- whole-message loops ----------------------------------------------
+ *
+ * The loops below run per hash, so they pad, compress and emit here
+ * instead of crossing into C once per block. Each goes through the
+ * same [blocks] dispatch as the streaming layer. */
+
+static const uint32_t IV[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
+
+static void store_be32(unsigned char *p, uint32_t v)
+{
+    p[0] = (unsigned char)(v >> 24);
+    p[1] = (unsigned char)(v >> 16);
+    p[2] = (unsigned char)(v >> 8);
+    p[3] = (unsigned char)v;
+}
+
+static void store_be64(unsigned char *p, uint64_t v)
+{
+    store_be32(p, (uint32_t)(v >> 32));
+    store_be32(p + 4, (uint32_t)v);
+}
+
+static void store_state(unsigned char out[32], const uint32_t h[8])
+{
+    for (int i = 0; i < 8; i++) store_be32(out + 4 * i, h[i]);
+}
+
+/* One 32-byte OCaml string holding [d]. Nothing the caller passed in is
+ * read after the allocation, so no root registration is needed. */
+static value digest_value(const unsigned char d[32])
+{
+    value r = caml_alloc_string(32);
+    memcpy(Bytes_val(r), d, 32);
+    return r;
+}
+
+/* Streaming state for a message fed in pieces. */
+typedef struct {
+    blocks_fn f;
+    uint32_t h[8];
+    unsigned char buf[64];
+    size_t buf_len;
+    uint64_t total;
+} sha_ctx;
+
+static void ctx_init(sha_ctx *c)
+{
+    c->f = get_blocks();
+    memcpy(c->h, IV, sizeof IV);
+    c->buf_len = 0;
+    c->total = 0;
+}
+
+static void ctx_feed(sha_ctx *c, const unsigned char *p, size_t len)
+{
+    c->total += len;
+    if (c->buf_len > 0) {
+        size_t take = 64 - c->buf_len;
+        if (take > len) take = len;
+        memcpy(c->buf + c->buf_len, p, take);
+        c->buf_len += take;
+        p += take;
+        len -= take;
+        if (c->buf_len < 64) return;
+        c->f(c->h, c->buf, 1);
+        c->buf_len = 0;
+    }
+    size_t n = len / 64;
+    if (n > 0) {
+        c->f(c->h, p, n);
+        p += 64 * n;
+        len -= 64 * n;
+    }
+    memcpy(c->buf, p, len);
+    c->buf_len = len;
+}
+
+static void ctx_final(sha_ctx *c, unsigned char out[32])
+{
+    unsigned char tail[128];
+    size_t n = c->buf_len;
+    size_t tlen = n + 9 <= 64 ? 64 : 128;
+    memcpy(tail, c->buf, n);
+    tail[n] = 0x80;
+    memset(tail + n + 1, 0, tlen - n - 9);
+    store_be64(tail + tlen - 8, c->total * 8);
+    c->f(c->h, tail, tlen / 64);
+    store_state(out, c->h);
+}
+
+/* [vs] is a string or bytes; the digest covers [vlen] bytes at [voff]
+ * (bounds checked by the caller). */
+CAMLprim value ac3_sha256_digest_stub(value vs, value voff, value vlen)
+{
+    sha_ctx c;
+    unsigned char d[32];
+    ctx_init(&c);
+    ctx_feed(&c, (const unsigned char *)String_val(vs) + Long_val(voff),
+             (size_t)Long_val(vlen));
+    ctx_final(&c, d);
+    return digest_value(d);
+}
+
+CAMLprim value ac3_sha256_digest2_stub(value vs)
+{
+    sha_ctx c;
+    unsigned char d[32];
+    ctx_init(&c);
+    ctx_feed(&c, (const unsigned char *)String_val(vs), caml_string_length(vs));
+    ctx_final(&c, d);
+    ctx_init(&c);
+    ctx_feed(&c, d, 32);
+    ctx_final(&c, d);
+    return digest_value(d);
+}
+
+CAMLprim value ac3_sha256_digest_list_stub(value vparts)
+{
+    sha_ctx c;
+    unsigned char d[32];
+    ctx_init(&c);
+    for (; vparts != Val_emptylist; vparts = Field(vparts, 1)) {
+        value s = Field(vparts, 0);
+        ctx_feed(&c, (const unsigned char *)String_val(s), caml_string_length(s));
+    }
+    ctx_final(&c, d);
+    return digest_value(d);
+}
+
+/* A message padded once and hashed many times with bytes patched at or
+ * after offset [patch_off]. The blocks wholly before that offset never
+ * change, so their state (the midstate) is computed once. */
+typedef struct {
+    blocks_fn f;
+    unsigned char *msg; /* the padded message, nblocks * 64 bytes */
+    size_t nblocks;
+    size_t first;       /* first block a patch can reach */
+    uint32_t mid[8];    /* state after blocks [0, first) */
+} patched;
+
+static size_t padded_len(size_t len) { return (len + 9 + 63) / 64 * 64; }
+
+/* [buf] must hold [padded_len len] bytes. */
+static void patched_init(patched *m, unsigned char *buf,
+                         const unsigned char *src, size_t len, size_t patch_off)
+{
+    size_t plen = padded_len(len);
+    memcpy(buf, src, len);
+    buf[len] = 0x80;
+    memset(buf + len + 1, 0, plen - len - 9);
+    store_be64(buf + plen - 8, (uint64_t)len * 8);
+    m->f = get_blocks();
+    m->msg = buf;
+    m->nblocks = plen / 64;
+    m->first = patch_off / 64;
+    memcpy(m->mid, IV, sizeof IV);
+    if (m->first > 0) m->f(m->mid, buf, m->first);
+}
+
+static void patched_hash(const patched *m, uint32_t st[8])
+{
+    memcpy(st, m->mid, sizeof m->mid);
+    m->f(st, m->msg + 64 * m->first, m->nblocks - m->first);
+}
+
+/* Messages up to this padded size stay on the C stack. */
+#define LOCAL_MSG 512
+
+static unsigned char *msg_buffer(unsigned char *local, size_t plen)
+{
+    unsigned char *buf = plen <= LOCAL_MSG ? local : malloc(plen);
+    if (buf == NULL) caml_raise_out_of_memory();
+    return buf;
+}
+
+/* PoW grinder. [vheader] is a serialized header whose last 8 bytes are
+ * the nonce, [vtarget] a 32-byte big-endian target (both checked by the
+ * caller). Returns the least nonce n < [vmax] such that
+ * SHA-256(SHA-256(header with nonce n, big-endian)) <= target, or -1.
+ * Inputs are copied to C memory first, so the loop runs without the
+ * domain's runtime lock and allocates nothing. */
+CAMLprim value ac3_sha256_grind_stub(value vheader, value vtarget, value vmax)
+{
+    unsigned char local[LOCAL_MSG], outer[64];
+    uint32_t target[8], st[8];
+    size_t len = caml_string_length(vheader);
+    intnat max_iters = Long_val(vmax), found = -1;
+    const unsigned char *t = (const unsigned char *)String_val(vtarget);
+    for (int i = 0; i < 8; i++)
+        target[i] = ((uint32_t)t[4 * i] << 24) | ((uint32_t)t[4 * i + 1] << 16)
+                  | ((uint32_t)t[4 * i + 2] << 8) | (uint32_t)t[4 * i + 3];
+    unsigned char *buf = msg_buffer(local, padded_len(len));
+    patched m;
+    patched_init(&m, buf, (const unsigned char *)String_val(vheader), len, len - 8);
+    /* The outer hash is always one block: 32 digest bytes, then the
+     * padding of a 256-bit message. */
+    memset(outer + 32, 0, 32);
+    outer[32] = 0x80;
+    outer[62] = 0x01;
+    caml_enter_blocking_section();
+    for (intnat n = 0; n < max_iters && found < 0; n++) {
+        store_be64(buf + len - 8, (uint64_t)n);
+        patched_hash(&m, st);
+        store_state(outer, st);
+        memcpy(st, IV, sizeof IV);
+        m.f(st, outer, 1);
+        int i = 0;
+        while (i < 8 && st[i] == target[i]) i++;
+        if (i == 8 || st[i] < target[i]) found = n;
+    }
+    caml_leave_blocking_section();
+    if (buf != local) free(buf);
+    return Val_long(found);
+}
+
+/* WOTS chain walk. [vframe] is the framed step message, ending in the
+ * 2-byte big-endian step index and the 32-byte chain value. Runs steps
+ * [vfrom] .. [vto]-1, each hashing the frame with its step and value
+ * patched, and returns the last value. */
+CAMLprim value ac3_wots_chain_stub(value vframe, value vfrom, value vto)
+{
+    unsigned char local[LOCAL_MSG], d[32];
+    uint32_t st[8];
+    size_t len = caml_string_length(vframe);
+    intnat from = Long_val(vfrom), to = Long_val(vto);
+    if (len < 34) caml_invalid_argument("Wots.chain: frame too short");
+    size_t step_off = len - 34, x_off = len - 32;
+    unsigned char *buf = msg_buffer(local, padded_len(len));
+    patched m;
+    patched_init(&m, buf, (const unsigned char *)String_val(vframe), len, step_off);
+    for (intnat s = from; s < to; s++) {
+        buf[step_off] = (unsigned char)(s >> 8);
+        buf[step_off + 1] = (unsigned char)s;
+        patched_hash(&m, st);
+        store_state(buf + x_off, st);
+    }
+    memcpy(d, buf + x_off, 32);
+    if (buf != local) free(buf);
+    return digest_value(d);
 }

@@ -26,14 +26,18 @@ type public = string (* 32-byte hash of all chain tops *)
 
 type signature = string array (* [num_chains] intermediate chain values *)
 
+(* [chain_walk frame from_ to_] runs steps [from_ .. to_-1] in C on a
+   copy of [frame], patching its step bytes and 32-byte chain value in
+   place, and returns the last value. *)
+external chain_walk : string -> int -> int -> string = "ac3_wots_chain_stub"
+
 (* Apply steps [from_, from_+1, ..., to_-1] of one hash chain. The
    hashed message is the [Codec]-framed record
      string "wots-step" | string tag | u16 chain | u16 step | 32-byte x
    — the tag binds every step to this key pair, the indices to its
-   position. The frame is built once per walk and the two step bytes
-   and the 32-byte chain value are patched in place for each step:
-   byte-for-byte the same messages the per-step rebuild produced, minus
-   ~1 KB of allocation per step in the hottest loop of key generation. *)
+   position. The frame is built once per walk; the C loop patches the
+   two step bytes and the 32-byte chain value for each step, so every
+   step hashes byte-for-byte the message a per-step rebuild would. *)
 let chain tag chain_index ~from_ ~to_ x =
   if from_ >= to_ then x
   else begin
@@ -43,17 +47,7 @@ let chain tag chain_index ~from_ ~to_ x =
     Codec.Writer.u16 w chain_index;
     Codec.Writer.u16 w from_;
     Codec.Writer.fixed w ~len:32 x;
-    let buf = Bytes.of_string (Codec.Writer.contents w) in
-    let len = Bytes.length buf in
-    let step_off = len - 34 and x_off = len - 32 in
-    let v = ref x in
-    for s = from_ to to_ - 1 do
-      Bytes.unsafe_set buf step_off (Char.unsafe_chr ((s lsr 8) land 0xFF));
-      Bytes.unsafe_set buf (step_off + 1) (Char.unsafe_chr (s land 0xFF));
-      Bytes.blit_string !v 0 buf x_off 32;
-      v := Sha256.digest_bytes buf 0 len
-    done;
-    !v
+    chain_walk (Codec.Writer.contents w) from_ to_
   end
 
 let sk_element { prk; _ } i = Drbg.expand_prk prk i

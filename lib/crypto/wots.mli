@@ -16,6 +16,12 @@ val num_chains : int
 (** Deterministic key from [seed], domain-separated by [tag]. *)
 val generate : seed:string -> tag:string -> secret
 
+(** [chain tag i ~from_ ~to_ x] applies steps [from_ .. to_-1] of hash
+    chain [i] under key [tag] to the 32-byte value [x]; [x] itself when
+    [from_ >= to_]. Each step hashes the framed record
+    ("wots-step", tag, u16 chain, u16 step, x). *)
+val chain : string -> int -> from_:int -> to_:int -> string -> string
+
 val public : secret -> public
 
 val sign : secret -> string -> signature

@@ -8,7 +8,12 @@
    flag-only cancellation, same clock-advance rules. The hash and
    ledger hot paths need no separate copy — their reference mode is
    the same code with every memo table passed through
-   ([Ac3_fast.Memo.set_enabled false]), which the harness toggles. *)
+   ([Ac3_fast.Memo.set_enabled false]), which the harness toggles.
+
+   [Pow] and [Wots] are the OCaml loops the C proof-of-work grinder
+   and WOTS chain walk (lib/crypto/sha256_stubs.c) replaced, hashing
+   through the one-shot [Sha256] digests, which the harness in turn
+   checks against the OCaml streaming context. *)
 
 module Heap = Ac3_sim.Heap
 
@@ -82,4 +87,54 @@ module Engine = struct
     !count
 
   let run_until t horizon = ignore (run ~until:horizon t)
+end
+
+(* [Pow.mine] as lib/chain/pow.ml shipped it: grind nonces from 0 through
+   a caller-supplied hash until one meets the target. *)
+module Pow = struct
+  let mine ?(max_iters = 100_000_000) ~target hash_of_nonce =
+    let rec go nonce iters =
+      if iters >= max_iters then failwith "Pow.mine: exceeded max iterations";
+      let h = hash_of_nonce nonce in
+      if Ac3_chain.Pow.meets_target ~hash:h ~target then nonce
+      else go (Int64.add nonce 1L) (iters + 1)
+    in
+    go 0L 0
+
+  (* The closure [Block.mine] ground with: patch the nonce (the last 8
+     bytes of the serialized header) in place and double-hash. *)
+  let mine_header ?max_iters ~target header =
+    let buf = Bytes.of_string header in
+    let len = Bytes.length buf in
+    mine ?max_iters ~target (fun nonce ->
+        Bytes.set_int64_be buf (len - 8) nonce;
+        Ac3_crypto.Sha256.digest (Ac3_crypto.Sha256.digest_bytes buf 0 len))
+end
+
+(* The WOTS chain walk's step loop, verbatim from lib/crypto/wots.ml. *)
+module Wots = struct
+  module Codec = Ac3_crypto.Codec
+  module Sha256 = Ac3_crypto.Sha256
+
+  let chain tag chain_index ~from_ ~to_ x =
+    if from_ >= to_ then x
+    else begin
+      let w = Codec.Writer.create () in
+      Codec.Writer.string w "wots-step";
+      Codec.Writer.string w tag;
+      Codec.Writer.u16 w chain_index;
+      Codec.Writer.u16 w from_;
+      Codec.Writer.fixed w ~len:32 x;
+      let buf = Bytes.of_string (Codec.Writer.contents w) in
+      let len = Bytes.length buf in
+      let step_off = len - 34 and x_off = len - 32 in
+      let v = ref x in
+      for s = from_ to to_ - 1 do
+        Bytes.unsafe_set buf step_off (Char.unsafe_chr ((s lsr 8) land 0xFF));
+        Bytes.unsafe_set buf (step_off + 1) (Char.unsafe_chr (s land 0xFF));
+        Bytes.blit_string !v 0 buf x_off 32;
+        v := Sha256.digest_bytes buf 0 len
+      done;
+      !v
+    end
 end

@@ -198,10 +198,12 @@ let test_pow_target_bits () =
 
 let test_pow_mine_and_verify () =
   let target = Pow.target_of_bits 8 in
-  let hash_of_nonce n = Ac3_crypto.Sha256.digest ("block:" ^ Int64.to_string n) in
-  let nonce = Pow.mine ~target hash_of_nonce in
+  let header = "block:" ^ String.make 8 '\x00' in
+  let nonce = Pow.grind ~target header in
+  let mined = Bytes.of_string header in
+  Bytes.set_int64_be mined (Bytes.length mined - 8) nonce;
   Alcotest.(check bool) "mined hash meets target" true
-    (Pow.meets_target ~hash:(hash_of_nonce nonce) ~target)
+    (Pow.meets_target ~hash:(Ac3_crypto.Sha256.digest2 (Bytes.to_string mined)) ~target)
 
 let test_pow_work_monotone () =
   Alcotest.(check bool) "more bits, more work" true

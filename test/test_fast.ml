@@ -387,6 +387,144 @@ let test_reorg_differential () =
   Alcotest.(check string) "reorged store == fresh store (memo off)" c_off a_off;
   Alcotest.(check string) "memo on == memo off" a_on a_off
 
+(* --- C SHA-256 loops vs OCaml references ------------------------------ *)
+
+(* The proof-of-work grinder, the one-shot digests and the WOTS chain
+   walk run in C. Each is diffed against an OCaml loop: the grinder and
+   the chain walk against their pre-C copies in [Reference], the
+   one-shots against the OCaml streaming context. *)
+
+let header_of ~chain ~target =
+  Block.header_bytes
+    {
+      Block.chain;
+      height = String.length chain;
+      parent = Sha256.digest ("parent:" ^ chain);
+      merkle_root = Sha256.digest ("root:" ^ chain);
+      time = 1.5;
+      target;
+      nonce = 0L;
+    }
+
+let nonce = Alcotest.testable (fun ppf n -> Fmt.pf ppf "%Ld" n) Int64.equal
+
+(* Chain ids of 0..80 bytes move the 8 nonce bytes across the block
+   grid: at 9..15 they straddle the 128-byte boundary. The 500-byte id
+   takes the grinder's heap-buffer path. *)
+let test_grind_chain_lengths () =
+  let target = Pow.target_of_bits 8 in
+  List.iter
+    (fun n ->
+      let chain = String.init n (fun i -> Char.chr (97 + ((i * 7) mod 26))) in
+      let header = header_of ~chain ~target in
+      let want = Reference.Pow.mine_header ~target header in
+      Alcotest.check nonce (Printf.sprintf "chain id of %d bytes" n) want (Pow.grind ~target header);
+      let b = Block.mine ~chain ~height:n ~parent:(Sha256.digest ("parent:" ^ chain)) ~time:1.5
+          ~target ~txs:[] in
+      Alcotest.(check bool) (Printf.sprintf "mined block of %d meets target" n) true
+        (Block.header_pow_ok b.Block.header))
+    (List.init 81 Fun.id @ [ 500 ])
+
+let test_grind_pow_bits () =
+  List.iter
+    (fun bits ->
+      let target = Pow.target_of_bits bits in
+      List.iter
+        (fun chain ->
+          let header = header_of ~chain ~target in
+          Alcotest.check nonce
+            (Printf.sprintf "%d bits, chain %S" bits chain)
+            (Reference.Pow.mine_header ~target header)
+            (Pow.grind ~target header))
+        [ "w"; "attack-demo" ])
+    (List.init 13 Fun.id)
+
+(* Both give up after exactly [max_iters] misses: one short of the
+   winning nonce fails, the winning nonce plus one finds it. *)
+let test_grind_max_iters () =
+  let target = Pow.target_of_bits 10 in
+  let header = header_of ~chain:"attack-demo" ~target in
+  let win = Reference.Pow.mine_header ~target header in
+  Alcotest.(check bool) "winning nonce is past 0" true (win > 0L);
+  let outcome f = match f () with n -> Some n | exception Failure _ -> None in
+  List.iter
+    (fun max_iters ->
+      Alcotest.(check (option nonce))
+        (Printf.sprintf "max_iters %d" max_iters)
+        (outcome (fun () -> Reference.Pow.mine_header ~max_iters ~target header))
+        (outcome (fun () -> Pow.grind ~max_iters ~target header)))
+    [ 0; 1; Int64.to_int win; Int64.to_int win + 1 ];
+  Alcotest.check_raises "grinder failure" (Failure "Pow.grind: exceeded max iterations")
+    (fun () -> ignore (Pow.grind ~max_iters:(Int64.to_int win) ~target header));
+  (* A hash equal to the target meets it: nonce 0's own hash as target. *)
+  let exact = Sha256.digest2 header in
+  Alcotest.check nonce "hash = target meets" 0L (Pow.grind ~target:exact header);
+  Alcotest.check nonce "reference agrees" 0L (Reference.Pow.mine_header ~target:exact header)
+
+let streaming_digest s =
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx s;
+  Sha256.finalize ctx
+
+let test_oneshot_lengths () =
+  for n = 0 to 300 do
+    let s = String.init n (fun i -> Char.chr (((i * 31) + n) land 255)) in
+    Alcotest.(check string) (Printf.sprintf "digest, %d bytes" n) (hex (streaming_digest s))
+      (hex (Sha256.digest s));
+    Alcotest.(check string) (Printf.sprintf "digest2, %d bytes" n)
+      (hex (Sha256.digest (Sha256.digest s)))
+      (hex (Sha256.digest2 s))
+  done
+
+let test_digest_bytes_offsets () =
+  let b = Bytes.init 400 (fun i -> Char.chr ((i * 13) land 255)) in
+  List.iter
+    (fun off ->
+      List.iter
+        (fun len ->
+          if off + len <= Bytes.length b then
+            Alcotest.(check string)
+              (Printf.sprintf "digest_bytes at %d, %d bytes" off len)
+              (hex (streaming_digest (Bytes.sub_string b off len)))
+              (hex (Sha256.digest_bytes b off len)))
+        [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 128; 300 ])
+    [ 0; 1; 7; 63; 64; 65; 99 ];
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slice %d+%d rejected" off len)
+        (Invalid_argument "Sha256.digest_bytes")
+        (fun () -> ignore (Sha256.digest_bytes b off len)))
+    [ (-1, 4); (0, -1); (397, 4); (401, 0) ]
+
+let qcheck_digest_list =
+  QCheck.Test.make ~name:"digest_list = digest of the concatenation" ~count:300
+    QCheck.(small_list string)
+    (fun parts -> Sha256.digest_list parts = streaming_digest (String.concat "" parts))
+
+(* Tag lengths 0..140 slide the step bytes and chain value across the
+   64-byte grid (the step bytes straddle it at 44); a 600-byte tag takes
+   the heap-buffer path. Ranges include empty and full walks. *)
+let test_wots_chain () =
+  let x = Sha256.digest "wots-x" in
+  let check tag i from_ to_ =
+    Alcotest.(check string)
+      (Printf.sprintf "tag %d bytes, chain %d, steps %d..%d" (String.length tag) i from_ to_)
+      (hex (Reference.Wots.chain tag i ~from_ ~to_ x))
+      (hex (Ac3_crypto.Wots.chain tag i ~from_ ~to_ x))
+  in
+  List.iter
+    (fun n ->
+      let tag = String.make n 't' in
+      List.iter (fun (from_, to_) -> check tag (n mod 67) from_ to_)
+        [ (0, 15); (3, 7); (5, 5); (9, 2); (14, 15) ])
+    (List.init 141 Fun.id @ [ 600 ]);
+  for from_ = 0 to 15 do
+    for to_ = 0 to 15 do
+      check "mss:leaf:7" 66 from_ to_
+    done
+  done
+
 (* --- Chaos sweeps and load runs: jobs x memo byte-identity ------------ *)
 
 let summary_render (s : Runner.summary) =
@@ -468,6 +606,16 @@ let () =
           Alcotest.test_case "block tx mutation invalidates" `Quick
             test_block_mutation_invalidates;
           Alcotest.test_case "block hash differential" `Quick test_block_hash_memo_differential;
+        ] );
+      ( "c-loop-differential",
+        [
+          Alcotest.test_case "grinder: chain ids 0..80" `Quick test_grind_chain_lengths;
+          Alcotest.test_case "grinder: pow_bits 0..12" `Quick test_grind_pow_bits;
+          Alcotest.test_case "grinder: max_iters" `Quick test_grind_max_iters;
+          Alcotest.test_case "one-shot = streaming, 0..300 bytes" `Quick test_oneshot_lengths;
+          Alcotest.test_case "digest_bytes offsets" `Quick test_digest_bytes_offsets;
+          QCheck_alcotest.to_alcotest qcheck_digest_list;
+          Alcotest.test_case "wots chain walk" `Quick test_wots_chain;
         ] );
       ( "ledger-differential",
         [ Alcotest.test_case "incremental reorg == from-scratch" `Quick test_reorg_differential ] );
