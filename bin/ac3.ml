@@ -40,6 +40,7 @@ module A = Ac3_core.Ac3wn
 module H = Ac3_core.Herlihy
 module N = Ac3_core.Nolan
 module T = Ac3_core.Ac3tw
+module Run = Ac3_core.Swap_run
 module P = Ac3_core.Participant
 module Analysis = Ac3_core.Analysis
 module Attack = Ac3_core.Attack
@@ -182,67 +183,56 @@ let scenario_setup ~scenario ~parties ~seed =
       U.run_until u 100.0;
       (u, ps, S.supply_chain_graph ~chains ids ~timestamp:(U.now u))
 
-let report_outcome ~trace ~outcome ~atomic ~committed ~latency ~delta =
-  Fmt.pr "@.Trace:@.%a@." Ac3_sim.Trace.pp trace;
-  Fmt.pr "Outcome: %a@." Ac3_core.Outcome.pp outcome;
-  Fmt.pr "committed = %b, atomic = %b@." committed atomic;
-  (match latency with
-  | Some l -> Fmt.pr "latency = %.1f virtual s = %.2f Δ@." l (l /. delta)
-  | None -> Fmt.pr "did not complete within the timeout@.");
-  if atomic then 0 else 3
+(* Run one swap of [protocol] on the scenario. With [crash] the second
+   participant crashes at the protocol's critical moment (under AC3WN it
+   recovers 2000 s later). [Error] carries the message to print when the
+   protocol refuses the run. *)
+let execute_protocol protocol u ~participants ~graph ~crash =
+  let crash_bob_at label =
+    if crash then [ (label, fun () -> P.crash (List.nth participants 1)) ] else []
+  in
+  match protocol with
+  | Ac3wn ->
+      let config =
+        { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
+      in
+      let hooks = crash_bob_at "authorize_redeem_submitted" in
+      if crash then
+        ignore
+          (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
+               P.recover (List.nth participants 1)));
+      Ok (A.execute u ~config ~graph ~participants ~hooks ())
+  | Herlihy | Nolan ->
+      let config = { (H.default_config ~delta:(U.max_delta u)) with H.timeout = 100_000.0 } in
+      let hooks = crash_bob_at "redeem:1" in
+      let result =
+        if protocol = Nolan then Ok (N.execute u ~config ~graph ~participants ~hooks ())
+        else H.execute u ~config ~graph ~participants ~hooks ()
+      in
+      Result.map_error (fun e -> "protocol refused the graph: " ^ e) result
+  | Ac3tw ->
+      let trent = Ac3_core.Trent.create u ~name:"trent" in
+      let config = { T.default_config with T.timeout = 50_000.0 } in
+      Result.map_error (fun e -> "error: " ^ e) (T.execute u ~config ~trent ~graph ~participants ())
 
 let run_swap protocol scenario parties seed crash verbose metrics_out trace_out =
   setup_logs verbose;
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
   Fmt.pr "Graph: %a@." Ac2t.pp graph;
   Fmt.pr "Shape: %a, Diam(D) = %d@." Ac2t.pp_shape (Ac2t.classify graph) (Ac2t.diameter graph);
-  let delta = U.max_delta u in
-  let crash_bob_hook label =
-    if crash then begin
-      let bob = List.nth participants 1 in
-      [ (label, fun () -> P.crash bob) ]
-    end
-    else []
-  in
   let code =
-    match protocol with
-    | Ac3wn ->
-        let config =
-          { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
-        in
-        let hooks = crash_bob_hook "authorize_redeem_submitted" in
-        (* With AC3WN a crashed participant can recover and still redeem. *)
-        (if crash then
-           ignore
-             (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
-                  P.recover (List.nth participants 1))));
-        let r = A.execute u ~config ~graph ~participants ~hooks () in
-        report_outcome ~trace:r.A.trace ~outcome:r.A.outcome ~atomic:r.A.atomic
-          ~committed:r.A.committed ~latency:r.A.latency ~delta
-    | Herlihy | Nolan -> (
-        let config = { (H.default_config ~delta) with H.timeout = 100_000.0 } in
-        let hooks = crash_bob_hook "redeem:1" in
-        let result =
-          if protocol = Nolan then Ok (N.execute u ~config ~graph ~participants ~hooks ())
-          else H.execute u ~config ~graph ~participants ~hooks ()
-        in
-        match result with
-        | Error e ->
-            Fmt.epr "protocol refused the graph: %s@." e;
-            1
-        | Ok r ->
-            report_outcome ~trace:r.H.trace ~outcome:r.H.outcome ~atomic:r.H.atomic
-              ~committed:r.H.committed ~latency:r.H.latency ~delta)
-    | Ac3tw -> (
-        let trent = Ac3_core.Trent.create u ~name:"trent" in
-        let config = { T.default_config with T.timeout = 50_000.0 } in
-        match T.execute u ~config ~trent ~graph ~participants () with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            1
-        | Ok r ->
-            report_outcome ~trace:r.T.trace ~outcome:r.T.outcome ~atomic:r.T.atomic
-              ~committed:r.T.committed ~latency:r.T.latency ~delta)
+    match execute_protocol protocol u ~participants ~graph ~crash with
+    | Error e ->
+        Fmt.epr "%s@." e;
+        1
+    | Ok r ->
+        Fmt.pr "@.Trace:@.%a@." Ac3_sim.Trace.pp r.Run.trace;
+        Fmt.pr "Outcome: %a@." Ac3_core.Outcome.pp r.Run.outcome;
+        Fmt.pr "committed = %b, atomic = %b@." r.Run.committed r.Run.atomic;
+        (match r.Run.latency with
+        | Some l -> Fmt.pr "latency = %.1f virtual s = %.2f Δ@." l (l /. U.max_delta u)
+        | None -> Fmt.pr "did not complete within the timeout@.");
+        if r.Run.atomic then 0 else 3
   in
   U.snapshot_metrics u;
   export_obs ?metrics_out ?trace_out (U.obs u);
@@ -1211,34 +1201,12 @@ let run_metrics protocol scenario parties seed metrics_out trace_out profile =
   setup_logs false;
   if profile then Ac3_fast.Profile.enable ();
   let u, participants, graph = scenario_setup ~scenario ~parties ~seed in
-  let delta = U.max_delta u in
   let atomic =
-    match protocol with
-    | Ac3wn ->
-        let config =
-          { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 50_000.0 }
-        in
-        let r = A.execute u ~config ~graph ~participants () in
-        r.A.atomic
-    | Herlihy | Nolan -> (
-        let config = { (H.default_config ~delta) with H.timeout = 100_000.0 } in
-        let result =
-          if protocol = Nolan then Ok (N.execute u ~config ~graph ~participants ())
-          else H.execute u ~config ~graph ~participants ()
-        in
-        match result with
-        | Error e ->
-            Fmt.epr "protocol refused the graph: %s@." e;
-            false
-        | Ok r -> r.H.atomic)
-    | Ac3tw -> (
-        let trent = Ac3_core.Trent.create u ~name:"trent" in
-        let config = { T.default_config with T.timeout = 50_000.0 } in
-        match T.execute u ~config ~trent ~graph ~participants () with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            false
-        | Ok r -> r.T.atomic)
+    match execute_protocol protocol u ~participants ~graph ~crash:false with
+    | Error e ->
+        Fmt.epr "%s@." e;
+        false
+    | Ok r -> r.Run.atomic
   in
   U.snapshot_metrics u;
   Fmt.pr "Metrics snapshot (%d instruments):@.%a@." (Metrics.size (U.metrics u)) Metrics.pp

@@ -11,6 +11,7 @@
 module U = Ac3_core.Universe
 module S = Ac3_core.Scenarios
 module A = Ac3_core.Ac3wn
+module Run = Ac3_core.Swap_run
 module Ac2t = Ac3_contract.Ac2t
 
 let () =
@@ -38,9 +39,9 @@ let () =
     { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
   in
   let result = A.execute universe ~config ~graph ~participants () in
-  Fmt.pr "AC3WN result: committed = %b, atomic = %b@." result.A.committed result.A.atomic;
-  (match result.A.latency with
+  Fmt.pr "AC3WN result: committed = %b, atomic = %b@." result.Run.committed result.Run.atomic;
+  (match result.Run.latency with
   | Some l -> Fmt.pr "measured latency: %.1f s = %.2f Δ (constant, despite %d parties)@." l (l /. delta) n
   | None -> Fmt.pr "did not complete@.");
-  Fmt.pr "@.Edge outcomes:@.%a@." Ac3_core.Outcome.pp result.A.outcome;
-  if not result.A.committed then exit 1
+  Fmt.pr "@.Edge outcomes:@.%a@." Ac3_core.Outcome.pp result.Run.outcome;
+  if not result.Run.committed then exit 1

@@ -18,6 +18,7 @@ module S = Ac3_core.Scenarios
 module A = Ac3_core.Ac3wn
 module H = Ac3_core.Herlihy
 module N = Ac3_core.Nolan
+module Run = Ac3_core.Swap_run
 module P = Ac3_core.Participant
 module Outcome = Ac3_core.Outcome
 open Ac3_chain
@@ -44,8 +45,8 @@ let () =
   let config = { (H.default_config ~delta:(U.max_delta u1)) with H.timeout = 5000.0 } in
   let r1 = N.execute u1 ~config ~graph:graph1 ~participants:ps1 ~hooks () in
   show_balances "after " alice1 bob1;
-  Fmt.pr "  outcome: %a@." Outcome.pp r1.H.outcome;
-  if r1.H.atomic then begin
+  Fmt.pr "  outcome: %a@." Outcome.pp r1.Run.outcome;
+  if r1.Run.atomic then begin
     Fmt.pr "  unexpected: no violation@.";
     exit 1
   end;
@@ -76,8 +77,8 @@ let () =
   in
   let r2 = A.execute u2 ~config ~graph:graph2 ~participants:ps2 ~hooks () in
   show_balances "after " alice2 bob2;
-  Fmt.pr "  outcome: %a@." Outcome.pp r2.A.outcome;
-  if not (r2.A.committed && r2.A.atomic) then begin
+  Fmt.pr "  outcome: %a@." Outcome.pp r2.Run.outcome;
+  if not (r2.Run.committed && r2.Run.atomic) then begin
     Fmt.pr "  unexpected: AC3WN failed to commit atomically@.";
     exit 1
   end;

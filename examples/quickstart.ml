@@ -10,6 +10,7 @@
 module U = Ac3_core.Universe
 module S = Ac3_core.Scenarios
 module A = Ac3_core.Ac3wn
+module Run = Ac3_core.Swap_run
 module P = Ac3_core.Participant
 open Ac3_chain
 
@@ -42,9 +43,9 @@ let () =
   let result = A.execute universe ~config ~graph ~participants () in
 
   (* 4. Inspect the outcome. *)
-  Fmt.pr "Protocol trace:@.%a@." Ac3_sim.Trace.pp result.A.trace;
-  Fmt.pr "committed = %b, atomic = %b@." result.A.committed result.A.atomic;
-  (match result.A.latency with
+  Fmt.pr "Protocol trace:@.%a@." Ac3_sim.Trace.pp result.Run.trace;
+  Fmt.pr "committed = %b, atomic = %b@." result.Run.committed result.Run.atomic;
+  (match result.Run.latency with
   | Some l ->
       Fmt.pr "latency: %.1f virtual seconds (Δ = %.1f s => %.2f Δ)@." l (U.max_delta universe)
         (l /. U.max_delta universe)
@@ -54,7 +55,7 @@ let () =
     Amount.(P.balance_on alice "eth" - before_alice_eth);
   Fmt.pr "  Bob gained on btc:   %a@." Amount.pp Amount.(P.balance_on bob "btc" - before_bob_btc);
   Fmt.pr "@.Total fees paid: %a (SCw deploy + %d edge deploys + 1 call + %d redeems)@."
-    Amount.pp (A.total_fees result)
+    Amount.pp (Run.total_fees result)
     (List.length (Ac3_contract.Ac2t.edges graph))
     (List.length (Ac3_contract.Ac2t.edges graph));
-  if not result.A.atomic then exit 1
+  if not result.Run.atomic then exit 1

@@ -16,6 +16,7 @@ module U = Ac3_core.Universe
 module S = Ac3_core.Scenarios
 module A = Ac3_core.Ac3wn
 module H = Ac3_core.Herlihy
+module Run = Ac3_core.Swap_run
 module Ac2t = Ac3_contract.Ac2t
 
 let run_case ~name ~seed ~chains ~graph_of n =
@@ -36,12 +37,12 @@ let run_case ~name ~seed ~chains ~graph_of n =
     { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4; timeout = 20_000.0 }
   in
   let result = A.execute universe ~config ~graph ~participants () in
-  Fmt.pr "AC3WN: committed = %b, atomic = %b%a@.@." result.A.committed result.A.atomic
+  Fmt.pr "AC3WN: committed = %b, atomic = %b%a@.@." result.Run.committed result.Run.atomic
     (fun ppf -> function
       | Some l -> Fmt.pf ppf ", latency = %.1f s" l
       | None -> ())
-    result.A.latency;
-  result.A.committed && result.A.atomic
+    result.Run.latency;
+  result.Run.committed && result.Run.atomic
 
 let () =
   Fmt.pr "=== Atomic supply-chain settlements with AC3WN ===@.@.";

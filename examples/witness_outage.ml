@@ -13,6 +13,7 @@ module U = Ac3_core.Universe
 module S = Ac3_core.Scenarios
 module A = Ac3_core.Ac3wn
 module T = Ac3_core.Ac3tw
+module Run = Ac3_core.Swap_run
 module P = Ac3_core.Participant
 module Trent = Ac3_core.Trent
 module Outcome = Ac3_core.Outcome
@@ -41,8 +42,8 @@ let () =
    with
   | Error e -> Fmt.pr "  error: %s@." e
   | Ok r ->
-      Fmt.pr "  outcome: %a@." Outcome.pp r.T.outcome;
-      let locked = List.mem Outcome.Published (Outcome.statuses r.T.outcome) in
+      Fmt.pr "  outcome: %a@." Outcome.pp r.Run.outcome;
+      let locked = List.mem Outcome.Published (Outcome.statuses r.Run.outcome) in
       if locked then
         Fmt.pr "  ==> assets are LOCKED: with Trent down, neither T(ms(D),RD) nor@.";
       if locked then Fmt.pr "      T(ms(D),RF) can ever be issued.@.");
@@ -61,10 +62,10 @@ let () =
   let graph2 = S.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(U.now u2) in
   let config = { (A.default_config ~witness_chain:"witness") with A.decision_depth = 4 } in
   let r = A.execute u2 ~config ~graph:graph2 ~participants:ps2 () in
-  Fmt.pr "  outcome: %a@." Outcome.pp r.A.outcome;
-  if r.A.committed && r.A.atomic then
+  Fmt.pr "  outcome: %a@." Outcome.pp r.Run.outcome;
+  if r.Run.committed && r.Run.atomic then
     Fmt.pr "  ==> COMMITTED atomically: the remaining witness miners kept the@.";
-  if r.A.committed then
+  if r.Run.committed then
     Fmt.pr "      chain (and the decision) going. No single point of failure.@.";
   ignore (P.balance_on (List.hd ps2) "btc");
-  if not r.A.committed then exit 1
+  if not r.Run.committed then exit 1

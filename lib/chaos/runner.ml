@@ -23,6 +23,7 @@ module Scenarios = Ac3_core.Scenarios
 module Herlihy = Ac3_core.Herlihy
 module Nolan = Ac3_core.Nolan
 module Ac3wn = Ac3_core.Ac3wn
+module Swap_run = Ac3_core.Swap_run
 
 type protocol = P_nolan | P_herlihy | P_ac3wn
 
@@ -194,8 +195,8 @@ let run_one ?instrument ~spec ~plan ~protocol () =
   in
   let bg_handles = launch_background ~universe ~spec ~bg in
   let finish ?trace ?(flow = []) exec =
-    let bg_settled = List.length (List.filter Nolan.settled bg_handles) in
-    List.iter (fun h -> ignore (Nolan.finish h : Nolan.result)) bg_handles;
+    let bg_settled = List.length (List.filter Swap_run.settled bg_handles) in
+    List.iter (fun h -> ignore (Swap_run.finish h : Swap_run.result)) bg_handles;
     (if bg_handles <> [] then
        let m = Universe.metrics universe in
        Metrics.add
@@ -257,45 +258,38 @@ let run_one ?instrument ~spec ~plan ~protocol () =
     Oracle.Single_leader
       { delta; timelock_slack = single_leader_config.Herlihy.timelock_slack; start_time }
   in
-  match protocol with
-  | P_nolan ->
-      if Ac2t.classify graph <> Ac2t.Simple_swap then
-        finish (Skipped "nolan: not a two-party swap")
-      else begin
+  let executed =
+    match protocol with
+    | P_nolan when Ac2t.classify graph <> Ac2t.Simple_swap ->
+        Error (Skipped "nolan: not a two-party swap")
+    | P_nolan | P_herlihy | P_ac3wn -> (
         Inject.install ~universe ~participants plan;
-        match Nolan.execute universe ~config:single_leader_config ~graph ~participants () with
-        | result ->
-            let v =
-              Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
-                ~static:static_single
+        match protocol with
+        | P_nolan -> (
+            match Nolan.execute universe ~config:single_leader_config ~graph ~participants () with
+            | result -> Ok (result, static_single)
+            | exception Invalid_argument msg -> Error (Rejected msg))
+        | P_herlihy -> (
+            match Herlihy.execute universe ~config:single_leader_config ~graph ~participants () with
+            | Ok result -> Ok (result, static_single)
+            | Error msg -> Error (Rejected msg))
+        | P_ac3wn ->
+            let config =
+              {
+                (Ac3wn.default_config ~witness_chain:"witness") with
+                evidence_depth = 2;
+                decision_depth = 3;
+                timeout = protocol_timeout;
+              }
             in
-            finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
-        | exception Invalid_argument msg -> finish (Rejected msg)
-      end
-  | P_herlihy -> begin
-      Inject.install ~universe ~participants plan;
-      match Herlihy.execute universe ~config:single_leader_config ~graph ~participants () with
-      | Ok result ->
-          let v =
-            Oracle.check ~universe ~graph ~contracts:result.Herlihy.contracts
-              ~static:static_single
-          in
-          finish ~trace:result.Herlihy.trace ~flow:(flow_check v) (Verdict v)
-      | Error msg -> finish (Rejected msg)
-    end
-  | P_ac3wn ->
-      Inject.install ~universe ~participants plan;
-      let config =
-        {
-          (Ac3wn.default_config ~witness_chain:"witness") with
-          evidence_depth = 2;
-          decision_depth = 3;
-          timeout = protocol_timeout;
-        }
-      in
-      let result = Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () in
-      let v = Oracle.check ~universe ~graph ~contracts:result.Ac3wn.contracts ~static:Witness in
-      finish ~trace:result.Ac3wn.trace ~flow:(flow_check v) (Verdict v)
+            let result = Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () in
+            Ok (result, Oracle.Witness))
+  in
+  match executed with
+  | Error exec -> finish exec
+  | Ok (result, static) ->
+      let v = Oracle.check ~universe ~graph ~contracts:result.Swap_run.contracts ~static in
+      finish ~trace:result.Swap_run.trace ~flow:(flow_check v) (Verdict v)
 
 (* Fingerprint of everything observable about a report. Reports hold
    closures and custom blocks (obs contexts, traces), so the generic

@@ -10,15 +10,16 @@
    mutually exclusive.
 
    The protocol is atomic but hinges on a trusted, available Trent — the
-   single point of failure AC3WN removes. *)
+   single point of failure AC3WN removes.
+
+   This module holds the protocol logic only: the per-participant step
+   and Trent's decision rule. {!Swap_run} drives the run; AC3TW folds
+   nothing into the universe's metrics or spans. *)
 
 module Engine = Ac3_sim.Engine
-module Trace = Ac3_sim.Trace
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
 module Centralized_sc = Ac3_contract.Centralized_sc
-module Swap_template = Ac3_contract.Swap_template
-open Ac3_chain
 
 let src = Logs.Src.create "ac3.tw" ~doc:"AC3TW protocol"
 
@@ -28,232 +29,100 @@ type config = { poll_interval : float; timeout : float }
 
 let default_config = { poll_interval = 2.0; timeout = 10_000.0 }
 
-type edge_state = {
-  edge : Ac2t.edge;
-  mutable deploy_txid : string option;
-  mutable contract_id : string option;
-  mutable redeem_txid : string option;
-  mutable refund_txid : string option;
-}
-
 type run = {
-  universe : Universe.t;
-  config : config;
-  graph : Ac2t.t;
+  base : Swap_run.t;
   ms_id : string;
   trent : Trent.t;
-  participants : (Keys.public * Participant.t) list;
-  edges : edge_state array;
-  trace : Trace.t;
   mutable redeem_signature : Keys.signature option;
   mutable refund_signature : Keys.signature option;
   mutable abort_requested : bool;
-  mutable fees : Amount.t;
 }
-
-let record run ?attrs label =
-  if Trace.time_of run.trace label = None then
-    Trace.record run.trace ~time:(Universe.now run.universe) ?attrs label
 
 let try_deploy run p =
   let pk = Participant.public p in
   Array.iteri
-    (fun i es ->
+    (fun i (es : Swap_run.edge) ->
       if String.equal es.edge.Ac2t.from_pk pk && es.deploy_txid = None then begin
         let args =
           Centralized_sc.args ~recipient_pk:es.edge.Ac2t.to_pk ~ms_id:run.ms_id
             ~trent_pk:(Trent.public run.trent)
         in
-        let wallet = Participant.wallet p es.edge.Ac2t.chain in
-        match
-          Wallet.deploy wallet ~code_id:Centralized_sc.code_id ~args ~deposit:es.edge.Ac2t.amount
-        with
-        | Ok (txid, contract_id) ->
-            es.deploy_txid <- Some txid;
-            es.contract_id <- Some contract_id;
-            run.fees <-
-              Amount.(run.fees + (Universe.params run.universe es.edge.Ac2t.chain).Params.deploy_fee);
-            record run (Printf.sprintf "deploy:%d" i)
-        | Error e -> Log.debug (fun m -> m "AC3TW deploy failed: %s" e)
+        if Swap_run.deploy run.base p es ~code_id:Centralized_sc.code_id ~args then
+          Swap_run.record run.base (Printf.sprintf "deploy:%d" i)
       end)
-    run.edges
-
-let all_confirmed run =
-  Array.for_all
-    (fun es ->
-      match es.deploy_txid with
-      | None -> false
-      | Some txid ->
-          let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-          Node.confirmations node txid >= (Node.params node).Params.confirm_depth)
-    run.edges
+    run.base.edges
 
 let try_decide run =
+  let base = run.base in
   if run.redeem_signature = None && run.refund_signature = None then
     if run.abort_requested then begin
       match Trent.request_refund run.trent ~ms_id:run.ms_id with
       | Ok s ->
           run.refund_signature <- Some s;
-          record run "refund_signed"
+          Swap_run.record base "refund_signed"
       | Error e -> Log.debug (fun m -> m "Trent refused refund: %s" e)
     end
-    else if all_confirmed run then begin
+    else if Array.for_all (Swap_run.deploy_confirmed base) base.edges then begin
       let contracts =
-        Array.to_list (Array.map (fun es -> Option.get es.contract_id) run.edges)
+        Array.to_list (Array.map (fun (es : Swap_run.edge) -> Option.get es.contract_id) base.edges)
       in
       match Trent.request_redeem run.trent ~ms_id:run.ms_id ~contracts with
       | Ok s ->
           run.redeem_signature <- Some s;
-          record run "redeem_signed"
+          Swap_run.record base "redeem_signed"
       | Error e -> Log.debug (fun m -> m "Trent refused redeem: %s" e)
     end
 
-let try_settle run p =
+(* With Trent's signature in hand, recipients redeem their incoming
+   edges and senders refund their outgoing ones. *)
+let act run p ~redeeming signature =
   let pk = Participant.public p in
-  let act fn signature mine get_txid set_txid =
-    Array.iteri
-      (fun i es ->
-        if mine es && get_txid es = None then begin
-          match es.contract_id with
-          | None -> ()
-          | Some cid -> (
-              let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-              match Node.contract node cid with
-              | Some c when Swap_template.is_published c.Ledger.state -> (
-                  let wallet = Participant.wallet p es.edge.Ac2t.chain in
-                  match
-                    Wallet.call wallet ~contract_id:cid ~fn
-                      ~args:(Centralized_sc.secret_args signature) ()
-                  with
-                  | Ok txid ->
-                      set_txid es txid;
-                      run.fees <-
-                        Amount.(
-                          run.fees
-                          + (Universe.params run.universe es.edge.Ac2t.chain).Params.call_fee);
-                      record run (Printf.sprintf "%s:%d" fn i)
-                  | Error e -> Log.debug (fun m -> m "AC3TW %s failed: %s" fn e))
-              | _ -> ())
-        end)
-      run.edges
-  in
-  (match run.redeem_signature with
-  | Some s ->
-      act "redeem" s
-        (fun es -> String.equal es.edge.Ac2t.to_pk pk)
-        (fun es -> es.redeem_txid)
-        (fun es txid -> es.redeem_txid <- Some txid)
-  | None -> ());
-  match run.refund_signature with
-  | Some s ->
-      act "refund" s
-        (fun es -> String.equal es.edge.Ac2t.from_pk pk)
-        (fun es -> es.refund_txid)
-        (fun es txid -> es.refund_txid <- Some txid)
-  | None -> ()
+  Array.iteri
+    (fun i (es : Swap_run.edge) ->
+      if
+        String.equal pk (if redeeming then es.edge.Ac2t.to_pk else es.edge.Ac2t.from_pk)
+        && (if redeeming then es.redeem_txid else es.refund_txid) = None
+        && Option.is_some (Swap_run.published run.base es)
+        && Swap_run.settle run.base p es ~redeeming ~args:(Centralized_sc.secret_args signature)
+      then
+        Swap_run.record run.base
+          (Printf.sprintf "%s:%d" (if redeeming then "redeem" else "refund") i))
+    run.base.edges
 
 let step run p =
   if not (Participant.is_crashed p) then begin
     try_deploy run p;
     try_decide run;
-    try_settle run p
+    (match run.redeem_signature with Some s -> act run p ~redeeming:true s | None -> ());
+    match run.refund_signature with Some s -> act run p ~redeeming:false s | None -> ()
   end
 
-let edge_settled run es =
-  let node = Universe.gateway run.universe es.edge.Ac2t.chain in
-  let depth = (Node.params node).Params.confirm_depth in
-  let confirmed = function
-    | Some txid -> Node.confirmations node txid >= depth
-    | None -> false
-  in
-  confirmed es.redeem_txid || confirmed es.refund_txid
-  || (es.deploy_txid = None && run.refund_signature <> None)
-
-let all_settled run = Array.for_all (edge_settled run) run.edges
-
-type result = {
-  graph : Ac2t.t;
-  ms_id : string;
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Trace.t;
-  total_fees : Amount.t;
-}
-
 let execute universe ~config ~trent ~graph ~participants ?abort_after () =
-  let by_pk = List.map (fun p -> (Participant.public p, p)) participants in
   (* Phase 1: multisign and register at Trent. *)
   let ms = Ac2t.multisign graph (List.map Participant.identity participants) in
-  match Trent.register trent ~graph ~ms with
-  | Error e -> Error e
-  | Ok ms_id ->
-      let run =
-        {
-          universe;
-          config;
-          graph;
-          ms_id;
-          trent;
-          participants = by_pk;
-          edges =
-            Array.of_list
-              (List.map
-                 (fun edge ->
-                   {
-                     edge;
-                     deploy_txid = None;
-                     contract_id = None;
-                     redeem_txid = None;
-                     refund_txid = None;
-                   })
-                 (Ac2t.edges graph));
-          trace = Trace.create ();
-          redeem_signature = None;
-          refund_signature = None;
-          abort_requested = false;
-          fees = Amount.zero;
-        }
-      in
-      record run "start";
-      let start_time = Universe.now universe in
-      (match abort_after with
-      | Some delay ->
-          ignore
-            (Engine.schedule (Universe.engine universe) ~delay (fun () ->
-                 if run.redeem_signature = None then run.abort_requested <- true))
-      | None -> ());
-      let stopped = ref false in
-      List.iteri
-        (fun i p ->
-          let _stop : unit -> unit =
-            Engine.schedule_repeating
-              ~while_:(fun () -> not !stopped)
-              (Universe.engine universe)
-              ~first:(config.poll_interval *. (1.0 +. (0.1 *. float_of_int i)))
-              ~every:config.poll_interval
-              (fun () -> step run p)
+  Result.bind (Trent.register trent ~graph ~ms) (fun ms_id ->
+      Result.map
+        (fun base ->
+          let run =
+            {
+              base;
+              ms_id;
+              trent;
+              redeem_signature = None;
+              refund_signature = None;
+              abort_requested = false;
+            }
           in
-          ())
-        participants;
-      let finished =
-        Universe.run_while universe ~timeout:config.timeout (fun () -> all_settled run)
-      in
-      stopped := true;
-      if finished then record run "completed";
-      let contracts = Array.to_list (Array.map (fun es -> es.contract_id) run.edges) in
-      let outcome = Outcome.evaluate universe ~graph ~contracts in
-      Ok
-        {
-          graph;
-          ms_id;
-          contracts;
-          outcome;
-          atomic = Outcome.atomic outcome;
-          committed = Outcome.committed outcome;
-          latency = (if finished then Some (Universe.now universe -. start_time) else None);
-          trace = run.trace;
-          total_fees = run.fees;
-        }
+          Option.iter
+            (fun delay ->
+              ignore
+                (Engine.schedule (Universe.engine universe) ~delay (fun () ->
+                     if run.redeem_signature = None then run.abort_requested <- true)))
+            abort_after;
+          Swap_run.poll base ~poll_interval:config.poll_interval (step run);
+          let finished =
+            Universe.run_while universe ~timeout:config.timeout (fun () ->
+                Swap_run.all_settled base ~aborted:(run.refund_signature <> None))
+          in
+          Swap_run.conclude base ~finished)
+        (Swap_run.create universe ~graph ~participants ~hooks:[]))

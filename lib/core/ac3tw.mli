@@ -3,28 +3,17 @@
     single point of failure AC3WN removes. *)
 
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
 
 type config = { poll_interval : float; timeout : float }
 
 val default_config : config
 
-type result = {
-  graph : Ac2t.t;
-  ms_id : string;  (** key of the transaction in Trent's store *)
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Ac3_sim.Trace.t;
-  total_fees : Amount.t;
-}
-
 (** Execute an AC2T through Trent: register ms(D), deploy all edge
     contracts concurrently, obtain T(ms(D), RD) once everything is
     confirmed, redeem in parallel. [abort_after] switches to requesting
-    T(ms(D), RF) if undecided by then. [Error] if registration fails. *)
+    T(ms(D), RF) if undecided by then. [Error] if registration fails
+    (a graph vertex without a participant fails it: its signature is
+    missing from ms(D)). *)
 val execute :
   Universe.t ->
   config:config ->
@@ -33,4 +22,4 @@ val execute :
   participants:Participant.t list ->
   ?abort_after:float ->
   unit ->
-  (result, string) Stdlib.result
+  (Swap_run.result, string) Stdlib.result

@@ -8,9 +8,7 @@
     acts through an independent poll loop over its own chain views;
     crashed participants simply stop polling and can resume later. *)
 
-module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
 
 type config = {
   witness_chain : string;
@@ -22,35 +20,21 @@ type config = {
 
 val default_config : witness_chain:string -> config
 
-type tx_kind = Scw_deploy | Edge_deploy | Authorize | Redeem | Refund
+(** The phase table: phase spans and load-report phases are the windows
+    of these label prefixes in a run's trace. *)
+val phases : Ac3_obs.Span.phase list
 
-type fee_entry = { payer : Keys.public; kind : tx_kind; fee : Amount.t }
-
-type result = {
-  graph : Ac2t.t;
-  scw_id : string option;  (** the witness contract, once confirmed *)
-  contracts : string option list;  (** per-edge contract ids, graph order *)
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-      (** agreement to last confirmed settlement, in virtual seconds *)
-  trace : Ac3_sim.Trace.t;
-  fees : fee_entry list;
-}
-
-(** A launched AC2T whose poll loops are scheduled on the universe's
-    engine; the caller drives time (alone or interleaved with other
-    concurrent swaps) and calls {!finish} exactly once. *)
-type handle
+(** A launched AC2T; drive the universe and {!Swap_run.finish} it. *)
+type handle = Swap_run.handle
 
 (** Set up an AC2T and schedule its poll loops without running the
     engine. Same contract as {!execute} up to the point where time would
-    start moving: [participants] must cover the graph's vertices,
-    [hooks] bind trace labels to callbacks, [abort_after] requests the
-    refund path after that many virtual seconds if SCw is still
-    undecided, and [~verify:true] raises [Invalid_argument] on a static
-    verification failure before anything touches a chain. *)
+    start moving: [participants] must cover the graph's vertices
+    ([Invalid_argument] otherwise), [hooks] bind trace labels to
+    callbacks, [abort_after] requests the refund path after that many
+    virtual seconds if SCw is still undecided, and [~verify:true] raises
+    [Invalid_argument] on a static verification failure before anything
+    touches a chain. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -61,14 +45,6 @@ val launch :
   ?verify:bool ->
   unit ->
   handle
-
-(** Every edge settled to confirmation depth (or covered by a confirmed
-    abort decision). *)
-val settled : handle -> bool
-
-(** Stop the poll loops, fold observability into the universe, evaluate
-    the outcome. Call exactly once. *)
-val finish : handle -> result
 
 (** Execute an AC2T end to end. [participants] must cover the graph's
     vertices. [hooks] bind trace labels (e.g. ["scw_confirmed"],
@@ -87,7 +63,4 @@ val execute :
   ?abort_after:float ->
   ?verify:bool ->
   unit ->
-  result
-
-(** Sum of all fees paid during the run. *)
-val total_fees : result -> Amount.t
+  Swap_run.result

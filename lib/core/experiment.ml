@@ -65,7 +65,7 @@ let fig8 ?(seed = 81) ?(n = 3) () =
       {
         protocol = "Herlihy (single leader)";
         diam = Ac2t.diameter graph;
-        events = normalize r.Herlihy.trace;
+        events = normalize r.Swap_run.trace;
       }
 
 (* --- E2 / Fig 9: AC3WN phase timeline ------------------------------------- *)
@@ -74,7 +74,7 @@ let fig9 ?(seed = 91) ?(n = 3) () =
   let u, participants, graph = ring_setup ~seed n in
   let config = { ac3wn_config with Ac3wn.poll_interval = 1.0 } in
   let r = Ac3wn.execute u ~config ~graph ~participants () in
-  { protocol = "AC3WN"; diam = Ac2t.diameter graph; events = normalize r.Ac3wn.trace }
+  { protocol = "AC3WN"; diam = Ac2t.diameter graph; events = normalize r.Swap_run.trace }
 
 (* --- E3 / Fig 10: latency vs Diam(D) --------------------------------------- *)
 
@@ -97,14 +97,14 @@ let fig10 ?(max_diam = 6) ?(seed = 103) () =
         match Herlihy.execute u ~config ~graph ~participants () with
         | Error e -> failwith e
         | Ok r ->
-            if not r.Herlihy.committed then failwith "herlihy run did not commit";
-            Option.map (fun l -> l /. delta) r.Herlihy.latency
+            if not r.Swap_run.committed then failwith "herlihy run did not commit";
+            Option.map (fun l -> l /. delta) r.Swap_run.latency
       in
       let ac3wn_measured =
         let u, participants, graph = ring_setup ~seed:(seed + (10 * n) + 1) n in
         let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
-        if not r.Ac3wn.committed then failwith "ac3wn run did not commit";
-        Option.map (fun l -> l /. delta) r.Ac3wn.latency
+        if not r.Swap_run.committed then failwith "ac3wn run did not commit";
+        Option.map (fun l -> l /. delta) r.Swap_run.latency
       in
       {
         diam = n;
@@ -134,12 +134,12 @@ let cost_table ?(sizes = [ 2; 3; 4; 5 ]) ?(seed = 400) () =
         in
         match Herlihy.execute u ~config ~graph ~participants () with
         | Error e -> failwith e
-        | Ok r -> Amount.to_int64 (Herlihy.total_fees r)
+        | Ok r -> Amount.to_int64 (Swap_run.total_fees r)
       in
       let ac3wn_fee =
         let u, participants, graph = ring_setup ~seed:(seed + n + 100) n in
         let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
-        Amount.to_int64 (Ac3wn.total_fees r)
+        Amount.to_int64 (Swap_run.total_fees r)
       in
       {
         n_contracts = n;
@@ -291,8 +291,8 @@ let fig7 ?(seed = 700) () =
       name;
       shape = Ac2t.classify graph;
       herlihy_verdict;
-      ac3wn_committed = r.Ac3wn.committed;
-      ac3wn_atomic = r.Ac3wn.atomic;
+      ac3wn_committed = r.Swap_run.committed;
+      ac3wn_atomic = r.Swap_run.atomic;
     }
   in
   [
@@ -324,8 +324,8 @@ let crash_experiment ?(seed = 800) () =
     let r = Nolan.execute u ~config ~graph ~participants ~hooks () in
     {
       protocol = "Nolan (hashlock/timelock)";
-      outcome = Fmt.str "%a" Outcome.pp r.Herlihy.outcome;
-      atomic = r.Herlihy.atomic;
+      outcome = Fmt.str "%a" Outcome.pp r.Swap_run.outcome;
+      atomic = r.Swap_run.atomic;
     }
   in
   (* AC3WN: same crash point, recovery after 600 s. *)
@@ -350,8 +350,8 @@ let crash_experiment ?(seed = 800) () =
     let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () in
     {
       protocol = "AC3WN (witness network)";
-      outcome = Fmt.str "%a" Outcome.pp r.Ac3wn.outcome;
-      atomic = r.Ac3wn.atomic;
+      outcome = Fmt.str "%a" Outcome.pp r.Swap_run.outcome;
+      atomic = r.Swap_run.atomic;
     }
   in
   [ nolan_row; ac3wn_row ]
@@ -652,12 +652,12 @@ let scalability ?(ks = [ 1; 2; 4 ]) ?(seed = 1000) () =
         ids
     in
     let latencies =
-      List.filter_map (fun (r : Ac3wn.result) -> Option.map (fun l -> l /. delta) r.Ac3wn.latency) results
+      List.filter_map (fun (r : Swap_run.result) -> Option.map (fun l -> l /. delta) r.Swap_run.latency) results
     in
     {
       concurrent = k;
       shared_witness;
-      all_committed = List.for_all (fun (r : Ac3wn.result) -> r.Ac3wn.committed) results;
+      all_committed = List.for_all (fun (r : Swap_run.result) -> r.Swap_run.committed) results;
       mean_latency_delta = Ac3_sim.Stats.mean latencies;
     }
   in
@@ -692,13 +692,13 @@ let availability ?(seed = 1100) () =
     | Error e -> { protocol = "AC3TW"; witness_failure = "Trent crashes"; result = "error: " ^ e }
     | Ok r ->
         let locked =
-          List.exists (fun s -> s = Outcome.Published) (Outcome.statuses r.Ac3tw.outcome)
+          List.exists (fun s -> s = Outcome.Published) (Outcome.statuses r.Swap_run.outcome)
         in
         {
           protocol = "AC3TW";
           witness_failure = "Trent crashes";
           result =
-            (if r.Ac3tw.committed then "committed"
+            (if r.Swap_run.committed then "committed"
              else if locked then "STUCK: assets locked, no decision possible"
              else "aborted");
         }
@@ -723,7 +723,7 @@ let availability ?(seed = 1100) () =
     {
       protocol = "AC3WN";
       witness_failure = "a witness miner crashes";
-      result = (if r.Ac3wn.committed then "committed (atomic)" else "did not commit");
+      result = (if r.Swap_run.committed then "committed (atomic)" else "did not commit");
     }
   in
   [ tw_row; wn_row ]
@@ -744,8 +744,8 @@ let depth_latency ?(depths = [ 2; 4; 6; 9 ]) ?(seed = 1300) () =
       let r = Ac3wn.execute u ~config ~graph ~participants () in
       {
         depth = d;
-        committed = r.Ac3wn.committed;
+        committed = r.Swap_run.committed;
         latency_delta =
-          (match r.Ac3wn.latency with Some l -> l /. delta | None -> Float.nan);
+          (match r.Swap_run.latency with Some l -> l /. delta | None -> Float.nan);
       })
     depths

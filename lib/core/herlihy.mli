@@ -7,9 +7,7 @@
     back (another Diam(D) rounds). Timelocks expire; a participant that
     crashes past its window loses its assets (Sec 1). *)
 
-module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
-open Ac3_chain
 
 type config = {
   delta : float;  (** Δ: the timelock unit *)
@@ -20,29 +18,18 @@ type config = {
 
 val default_config : delta:float -> config
 
-type fee_entry = { payer : Keys.public; fee : Amount.t }
+(** The phase table: phase spans and load-report phases are the windows
+    of these label prefixes in a run's trace. *)
+val phases : Ac3_obs.Span.phase list
 
-type result = {
-  graph : Ac2t.t;
-  contracts : string option list;
-  outcome : Outcome.t;
-  atomic : bool;
-  committed : bool;
-  latency : float option;
-  trace : Ac3_sim.Trace.t;
-  fees : fee_entry list;
-}
-
-(** A launched swap whose poll loops are scheduled on the universe's
-    engine. The caller drives the engine (alone or interleaved with
-    other concurrent swaps sharing the same universe) and calls
-    {!finish} exactly once. *)
-type handle
+(** A launched swap; drive the universe and {!Swap_run.finish} it. *)
+type handle = Swap_run.handle
 
 (** Set up the swap with the graph's first participant as leader and
     schedule its per-participant poll loops — without running the
     engine. [Error] if the graph is not single-leader executable
-    (disconnected, or cyclic once the leader is removed — Sec 5.3).
+    (disconnected, or cyclic once the leader is removed — Sec 5.3) or
+    [participants] leaves one of its vertices without an actor.
     [hooks] fire on trace labels such as ["deploy:2"] or ["redeem:1"]
     (per-edge indexes in graph order). With [~verify:true] the static
     verifier ({!Ac3_verify.Verify.herlihy_preflight}) runs first and any
@@ -61,16 +48,8 @@ val launch :
   unit ->
   (handle, string) Stdlib.result
 
-(** Every edge redeemed or refunded to confirmation depth. *)
-val settled : handle -> bool
-
-(** Stop the swap's poll loops, fold its observability into the
-    universe, and evaluate the outcome. Call exactly once, whether the
-    swap settled or a deadline expired with it still in flight. *)
-val finish : handle -> result
-
 (** {!launch}, run the universe until the swap settles (or [config]'s
-    timeout), {!finish}. *)
+    timeout), {!Swap_run.finish}. *)
 val execute :
   Universe.t ->
   config:config ->
@@ -80,6 +59,4 @@ val execute :
   ?verify:bool ->
   ?obs_name:string ->
   unit ->
-  (result, string) Stdlib.result
-
-val total_fees : result -> Amount.t
+  (Swap_run.result, string) Stdlib.result

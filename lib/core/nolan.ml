@@ -5,8 +5,8 @@
    Bob, having verified SC1, locks Y under the same h on chain 2 with
    timelock t2 < t1; Alice redeems SC2 (revealing s); Bob redeems SC1
    with s before t1. This is exactly the single-leader protocol on the
-   two-vertex graph, so the implementation delegates to {!Herlihy} — the
-   timelock structure (leader's contract expires last) and the crash
+   two-vertex graph, so the implementation is a guard over {!Herlihy} —
+   the timelock structure (leader's contract expires last) and the crash
    hazard are identical. *)
 
 module Ac2t = Ac3_contract.Ac2t
@@ -15,35 +15,21 @@ type config = Herlihy.config
 
 let default_config = Herlihy.default_config
 
-type result = Herlihy.result
+(* The two-vertex case of {!Herlihy}. Raises [Invalid_argument],
+   prefixed with [name], if the graph is not a simple two-party swap or
+   Herlihy refuses it. *)
+let guard name graph =
+  if Ac2t.classify graph <> Ac2t.Simple_swap then
+    invalid_arg (name ^ ": graph is not a two-party swap")
 
-type handle = Herlihy.handle
+let get name = function Ok x -> x | Error e -> invalid_arg (name ^ ": " ^ e)
 
-(* Launch a two-party swap without running the engine — the two-vertex
-   case of {!Herlihy.launch}. Raises [Invalid_argument] if the graph is
-   not a simple two-party swap. *)
 let launch universe ~config ~graph ~participants ?hooks ?verify () =
-  if Ac2t.classify graph <> Ac2t.Simple_swap then
-    invalid_arg "Nolan.launch: graph is not a two-party swap";
-  match
-    Herlihy.launch universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ()
-  with
-  | Ok h -> h
-  | Error e -> invalid_arg ("Nolan.launch: " ^ e)
+  guard "Nolan.launch" graph;
+  get "Nolan.launch"
+    (Herlihy.launch universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ())
 
-let settled = Herlihy.settled
-
-let finish = Herlihy.finish
-
-(* Execute a two-party swap. Raises [Invalid_argument] if the graph is
-   not a simple two-party swap. *)
 let execute universe ~config ~graph ~participants ?hooks ?verify () =
-  if Ac2t.classify graph <> Ac2t.Simple_swap then
-    invalid_arg "Nolan.execute: graph is not a two-party swap";
-  match
-    Herlihy.execute universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ()
-  with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Nolan.execute: " ^ e)
-
-let total_fees = Herlihy.total_fees
+  guard "Nolan.execute" graph;
+  get "Nolan.execute"
+    (Herlihy.execute universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ())

@@ -6,13 +6,9 @@ type config = Herlihy.config
 
 val default_config : delta:float -> config
 
-type result = Herlihy.result
-
-type handle = Herlihy.handle
-
 (** Launch a two-party swap without running the engine; drive the
-    universe and {!finish} it like a {!Herlihy.handle}. Raises
-    [Invalid_argument] under the same conditions as {!execute}. *)
+    universe and {!Swap_run.finish} it. Raises [Invalid_argument] under
+    the same conditions as {!execute}. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -21,15 +17,12 @@ val launch :
   ?hooks:(string * (unit -> unit)) list ->
   ?verify:bool ->
   unit ->
-  handle
-
-val settled : handle -> bool
-
-val finish : handle -> result
+  Swap_run.handle
 
 (** Execute a two-party swap. Raises [Invalid_argument] if the graph is
-    not a simple two-party swap, or if [~verify:true] and the static
-    verifier rejects the run. *)
+    not a simple two-party swap, if [participants] leaves a vertex
+    without an actor, or if [~verify:true] and the static verifier
+    rejects the run. *)
 val execute :
   Universe.t ->
   config:config ->
@@ -38,6 +31,4 @@ val execute :
   ?hooks:(string * (unit -> unit)) list ->
   ?verify:bool ->
   unit ->
-  result
-
-val total_fees : result -> Ac3_chain.Amount.t
+  Swap_run.result

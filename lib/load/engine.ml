@@ -9,15 +9,15 @@
    Concurrency comes from the launch/finish protocol split: each
    arrival builds a graph and calls [Herlihy.launch] / [Nolan.launch] /
    [Ac3wn.launch], which schedules the swap's poll loops on the shared
-   engine and returns a handle. A repeating reaper walks the in-flight
-   table in swap-index order and [finish]es every handle that settled
-   or passed its deadline. Nothing reads the wall clock or the
+   engine and returns a {!Swap_run.handle}, whatever the protocol. A
+   repeating reaper walks the in-flight table in swap-index order and
+   [Swap_run.finish]es every handle that settled or passed its
+   deadline. Nothing reads the wall clock or the
    universe's RNG outside the engine, so a (config, seed) pair replays
    byte-identically — including across [--jobs] in {!sweep}, which uses
    the same task-order observability merge as the chaos harness. *)
 
 module Rng = Ac3_sim.Rng
-module Trace = Ac3_sim.Trace
 module Stats = Ac3_sim.Stats
 module Pool = Ac3_par.Pool
 module Obs = Ac3_obs.Obs
@@ -36,6 +36,7 @@ module Outcome = Ac3_core.Outcome
 module Herlihy = Ac3_core.Herlihy
 module Nolan = Ac3_core.Nolan
 module Ac3wn = Ac3_core.Ac3wn
+module Swap_run = Ac3_core.Swap_run
 
 let funding = Amount.of_int 50_000_000
 
@@ -70,55 +71,19 @@ type report = {
   results : swap_result list; (* swap-index order *)
 }
 
-(* --- Phase extraction ---------------------------------------------------- *)
-
-(* Same phase windows as the [Span.of_trace] calls in herlihy.ml and
-   ac3wn.ml: a phase opens at the first record matching [opens] and
-   closes at the last record matching any of [closes]. The report needs
-   the durations as plain floats for percentiles; the spans themselves
-   already land in the universe's observability context. *)
-let phase_defs =
-  [
-    ("deploy", "deploy:", [ "deploy:" ]);
-    ("redeem", "redeem:", [ "redeem:" ]);
-    ("refund", "refund:", [ "refund:" ]);
-    ("scw_deploy", "scw_deployed", [ "scw_confirmed" ]);
-    ("edge_deploy", "edge_deployed:", [ "edge_deployed:" ]);
-    ("decision", "authorize_", [ "decision_confirmed:" ]);
-    ("settle", "decision_confirmed:", [ "redeem_submitted:"; "refund_submitted:" ]);
-  ]
-
-let phase_names = List.map (fun (n, _, _) -> n) phase_defs
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let phase_durations trace =
-  let records = Trace.records trace in
-  List.filter_map
-    (fun (name, opens, closes) ->
-      match List.find_opt (fun r -> starts_with ~prefix:opens r.Trace.label) records with
-      | None -> None
-      | Some first ->
-          let last =
-            List.fold_left
-              (fun acc r ->
-                if List.exists (fun c -> starts_with ~prefix:c r.Trace.label) closes then Some r
-                else acc)
-              None records
-          in
-          (match last with
-          | Some l when l.Trace.time >= first.Trace.time -> Some (name, l.Trace.time -. first.Trace.time)
-          | _ -> None))
-    phase_defs
+(* Report phases in a fixed order: the single-leader table, then
+   AC3WN's. Durations come from {!Swap_run.phase_durations}, the same
+   windows the runs' phase spans use. *)
+let phase_names = List.map (fun (p : Span.phase) -> p.Span.phase) (Herlihy.phases @ Ac3wn.phases)
 
 (* --- One run ------------------------------------------------------------- *)
 
-type handle = H of Herlihy.handle | W of Ac3wn.handle
-
-type live = { live_spec : Workload.spec; launched_at : float; deadline_at : float; handle : handle }
-
-let handle_settled = function H h -> Herlihy.settled h | W h -> Ac3wn.settled h
+type live = {
+  live_spec : Workload.spec;
+  launched_at : float;
+  deadline_at : float;
+  handle : Swap_run.handle;
+}
 
 (* Outcome-first classification: a settled abort (refund path ran to
    confirmation) is an abort whether the reaper caught it before or
@@ -202,21 +167,13 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
   let finish_swap idx live ~by_deadline =
     let now = Universe.now u in
     let pname = Workload.protocol_name live.live_spec.Workload.protocol in
-    let committed, outcome, trace =
-      match live.handle with
-      | H h ->
-          let r = Herlihy.finish h in
-          (r.Herlihy.committed, r.Herlihy.outcome, r.Herlihy.trace)
-      | W h ->
-          let r = Ac3wn.finish h in
-          (r.Ac3wn.committed, r.Ac3wn.outcome, r.Ac3wn.trace)
-    in
-    let cls = classify ~by_deadline ~committed ~outcome in
+    let r = Swap_run.finish live.handle in
+    let cls = classify ~by_deadline ~committed:r.Swap_run.committed ~outcome:r.Swap_run.outcome in
     let latency = if by_deadline then None else Some (now -. live.launched_at) in
     Metrics.incr (finished_c pname cls);
     (match latency with Some l -> Metrics.observe (latency_h pname) l | None -> ());
     results.(idx) <-
-      Some { spec = live.live_spec; cls; latency; phases = phase_durations trace };
+      Some { spec = live.live_spec; cls; latency; phases = Swap_run.phase_durations live.handle };
     active.(idx) <- None;
     decr active_count;
     incr accounted;
@@ -303,7 +260,7 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
                    the leader deploys alone and reclaims via the timelock
                    refund path — the paper's Sec 1 crash hazard. *)
                 if spec.abandon then Participant.crash pb;
-                Ok (H h))
+                Ok h)
         | Workload.Ac3wn ->
             let wconfig =
               {
@@ -316,7 +273,7 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
             (* AC3WN aborts through the witness: an early abort request
                races the deploys to SCw instead of anyone crashing. *)
             let abort_after = if spec.abandon then Some config.block_interval else None in
-            Ok (W (Ac3wn.launch u ~config:wconfig ~graph ~participants ?abort_after ()))
+            Ok (Ac3wn.launch u ~config:wconfig ~graph ~participants ?abort_after ())
       with Invalid_argument e -> Error e
     in
     match outcome with
@@ -378,7 +335,7 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
         match slot with
         | None -> ()
         | Some live ->
-            if handle_settled live.handle then finish_swap i live ~by_deadline:false
+            if Swap_run.settled live.handle then finish_swap i live ~by_deadline:false
             else if now >= live.deadline_at then finish_swap i live ~by_deadline:true)
       active
   in

@@ -41,6 +41,11 @@ val add :
     [closes]. *)
 type phase = { phase : string; opens : string; closes : string list }
 
+(** [windows ~phases trace] is [(phase, start, stop)] for every
+    recognizable phase (both endpoints present, stop >= start), in the
+    order given. *)
+val windows : phases:phase list -> Ac3_sim.Trace.t -> (string * float * float) list
+
 (** [of_trace t ~phases trace] appends one span per recognizable phase
     (both endpoints present, stop >= start), in the order given. *)
 val of_trace : t -> ?parent:span -> phases:phase list -> Ac3_sim.Trace.t -> unit

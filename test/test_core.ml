@@ -33,9 +33,9 @@ let test_ac3wn_two_party_commit () =
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let before_a = Participant.balance_on (List.hd participants) "eth" in
   let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
-  Alcotest.(check bool) "committed" true r.Ac3wn.committed;
-  Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
-  Alcotest.(check bool) "has latency" true (r.Ac3wn.latency <> None);
+  Alcotest.(check bool) "committed" true r.Swap_run.committed;
+  Alcotest.(check bool) "atomic" true r.Swap_run.atomic;
+  Alcotest.(check bool) "has latency" true (r.Swap_run.latency <> None);
   (* Alice actually received Bob's ethers (minus her call fee). *)
   let after_a = Participant.balance_on (List.hd participants) "eth" in
   Alcotest.(check bool) "alice richer on eth" true (Ac3_chain.Amount.compare after_a before_a > 0)
@@ -47,12 +47,12 @@ let test_ac3wn_fees_match_model () =
   let ids = List.map Participant.identity participants in
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants () in
-  Alcotest.(check bool) "committed" true r.Ac3wn.committed;
-  let count kind = List.length (List.filter (fun f -> f.Ac3wn.kind = kind) r.Ac3wn.fees) in
-  Alcotest.(check int) "1 SCw deploy" 1 (count Ac3wn.Scw_deploy);
-  Alcotest.(check int) "N edge deploys" 2 (count Ac3wn.Edge_deploy);
-  Alcotest.(check int) "1 authorize call" 1 (count Ac3wn.Authorize);
-  Alcotest.(check int) "N redeems" 2 (count Ac3wn.Redeem)
+  Alcotest.(check bool) "committed" true r.Swap_run.committed;
+  let count kind = List.length (List.filter (fun f -> f.Swap_run.kind = kind) r.Swap_run.fees) in
+  Alcotest.(check int) "1 SCw deploy" 1 (count Swap_run.Scw_deploy);
+  Alcotest.(check int) "N edge deploys" 2 (count Swap_run.Edge_deploy);
+  Alcotest.(check int) "1 authorize call" 1 (count Swap_run.Authorize);
+  Alcotest.(check int) "N redeems" 2 (count Swap_run.Redeem)
 
 let test_ac3wn_abort_refunds_all () =
   (* Bob never deploys (crashes immediately); the others request the
@@ -64,9 +64,9 @@ let test_ac3wn_abort_refunds_all () =
   let bob = List.nth participants 1 in
   let hooks = [ ("scw_confirmed", fun () -> Participant.crash bob) ] in
   let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks ~abort_after:300.0 () in
-  Alcotest.(check bool) "atomic" true r.Ac3wn.atomic;
-  Alcotest.(check bool) "not committed" false r.Ac3wn.committed;
-  Alcotest.(check bool) "aborted cleanly" true (Outcome.aborted r.Ac3wn.outcome)
+  Alcotest.(check bool) "atomic" true r.Swap_run.atomic;
+  Alcotest.(check bool) "not committed" false r.Swap_run.committed;
+  Alcotest.(check bool) "aborted cleanly" true (Outcome.aborted r.Swap_run.outcome)
 
 let test_ac3wn_crash_after_decision_still_atomic () =
   (* The paper's headline claim: the same crash that costs Bob his coins
@@ -90,8 +90,8 @@ let test_ac3wn_crash_after_decision_still_atomic () =
     ]
   in
   let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () in
-  Alcotest.(check bool) "committed" true r.Ac3wn.committed;
-  Alcotest.(check bool) "atomic despite crash" true r.Ac3wn.atomic
+  Alcotest.(check bool) "committed" true r.Swap_run.committed;
+  Alcotest.(check bool) "atomic despite crash" true r.Swap_run.atomic
 
 let test_ac3wn_cyclic_graph () =
   (* Figure 7a: executable by AC3WN. *)
@@ -101,8 +101,8 @@ let test_ac3wn_cyclic_graph () =
   let graph = Scenarios.cyclic_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
   Alcotest.(check bool) "graph is cyclic" true (Ac2t.classify graph = Ac2t.Cyclic);
   let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () in
-  Alcotest.(check bool) "committed" true r.Ac3wn.committed;
-  Alcotest.(check bool) "atomic" true r.Ac3wn.atomic
+  Alcotest.(check bool) "committed" true r.Swap_run.committed;
+  Alcotest.(check bool) "atomic" true r.Swap_run.atomic
 
 let test_ac3wn_disconnected_graph () =
   (* Figure 7b: executable by AC3WN. *)
@@ -114,8 +114,8 @@ let test_ac3wn_disconnected_graph () =
   in
   Alcotest.(check bool) "graph is disconnected" true (Ac2t.classify graph = Ac2t.Disconnected);
   let r = Ac3wn.execute u ~config:{ ac3wn_config with Ac3wn.timeout = 8000.0 } ~graph ~participants () in
-  Alcotest.(check bool) "committed" true r.Ac3wn.committed;
-  Alcotest.(check bool) "atomic" true r.Ac3wn.atomic
+  Alcotest.(check bool) "committed" true r.Swap_run.committed;
+  Alcotest.(check bool) "atomic" true r.Swap_run.atomic
 
 (* --- Herlihy / Nolan -------------------------------------------------------- *)
 
@@ -128,8 +128,8 @@ let test_herlihy_two_party_commit () =
   match Herlihy.execute u ~config ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      Alcotest.(check bool) "committed" true r.Herlihy.committed;
-      Alcotest.(check bool) "atomic" true r.Herlihy.atomic
+      Alcotest.(check bool) "committed" true r.Swap_run.committed;
+      Alcotest.(check bool) "atomic" true r.Swap_run.atomic
 
 let test_nolan_crash_violates_atomicity () =
   (* The introduction's failure case: Bob crashes after Alice redeems;
@@ -144,10 +144,10 @@ let test_nolan_crash_violates_atomicity () =
   let hooks = [ ("redeem:1", fun () -> Participant.crash bob) ] in
   let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
   let r = Nolan.execute u ~config ~graph ~participants ~hooks () in
-  Alcotest.(check bool) "NOT atomic (Bob lost his coins)" false r.Herlihy.atomic;
+  Alcotest.(check bool) "NOT atomic (Bob lost his coins)" false r.Swap_run.atomic;
   (* Specifically: eth edge redeemed (by Alice), btc edge refunded (to
      Alice). *)
-  let statuses = Outcome.statuses r.Herlihy.outcome in
+  let statuses = Outcome.statuses r.Swap_run.outcome in
   Alcotest.(check bool) "btc refunded" true (List.nth statuses 0 = Outcome.Refunded);
   Alcotest.(check bool) "eth redeemed" true (List.nth statuses 1 = Outcome.Redeemed)
 
@@ -158,8 +158,8 @@ let test_nolan_honest_commit () =
   let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
   let config = { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 } in
   let r = Nolan.execute u ~config ~graph ~participants () in
-  Alcotest.(check bool) "committed" true r.Herlihy.committed;
-  Alcotest.(check bool) "atomic" true r.Herlihy.atomic
+  Alcotest.(check bool) "committed" true r.Swap_run.committed;
+  Alcotest.(check bool) "atomic" true r.Swap_run.atomic
 
 let test_herlihy_rejects_fig7_graphs () =
   let u, participants = fast_universe ~seed:110 ~chains:[ "c1"; "c2"; "c3"; "c4" ] 4 in
@@ -188,8 +188,8 @@ let test_herlihy_sequential_deployment () =
   match Herlihy.execute u ~config ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      Alcotest.(check bool) "committed" true r.Herlihy.committed;
-      let t n = Option.get (Ac3_sim.Trace.time_of r.Herlihy.trace (Printf.sprintf "deploy:%d" n)) in
+      Alcotest.(check bool) "committed" true r.Swap_run.committed;
+      let t n = Option.get (Ac3_sim.Trace.time_of r.Swap_run.trace (Printf.sprintf "deploy:%d" n)) in
       Alcotest.(check bool) "round 1 after round 0" true (t 1 -. t 0 > 5.0);
       Alcotest.(check bool) "round 2 after round 1" true (t 2 -. t 1 > 5.0)
 
@@ -208,8 +208,8 @@ let test_ac3tw_commit () =
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      Alcotest.(check bool) "committed" true r.Ac3tw.committed;
-      Alcotest.(check bool) "atomic" true r.Ac3tw.atomic
+      Alcotest.(check bool) "committed" true r.Swap_run.committed;
+      Alcotest.(check bool) "atomic" true r.Swap_run.atomic
 
 let test_ac3tw_abort () =
   let u, participants = fast_universe ~seed:113 ~chains:[ "btc"; "eth" ] 2 in
@@ -226,8 +226,8 @@ let test_ac3tw_abort () =
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      Alcotest.(check bool) "atomic" true r.Ac3tw.atomic;
-      Alcotest.(check bool) "not committed" false r.Ac3tw.committed
+      Alcotest.(check bool) "atomic" true r.Swap_run.atomic;
+      Alcotest.(check bool) "not committed" false r.Swap_run.committed
 
 let test_trent_mutual_exclusion () =
   let u, _ = fast_universe ~seed:114 ~chains:[ "btc" ] 2 in
@@ -256,6 +256,52 @@ let test_trent_mutual_exclusion () =
   (* Duplicate registrations rejected. *)
   Alcotest.(check bool) "duplicate registration" true
     (Result.is_error (Trent.register trent ~graph ~ms))
+
+(* --- Participants must cover the graph --------------------------------------- *)
+
+(* Bob's vertex has no participant: every protocol refuses the run up
+   front instead of timing out with nobody acting for him. *)
+let missing_bob seed =
+  let u, participants = fast_universe ~seed ~chains:[ "btc"; "eth" ] 2 in
+  let ids = List.map Participant.identity participants in
+  let graph = Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u) in
+  (u, [ List.hd participants ], graph)
+
+let refuses_uncovered name f =
+  match f () with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ " names the missing vertex") true
+        (Astring.String.is_infix ~affix:"no participant for graph vertex" msg)
+  | _ -> Alcotest.fail (name ^ " accepted a graph vertex without a participant")
+
+let test_herlihy_missing_participant () =
+  let u, participants, graph = missing_bob 115 in
+  let config = Herlihy.default_config ~delta:(Universe.max_delta u) in
+  match Herlihy.launch u ~config ~graph ~participants () with
+  | Error e ->
+      Alcotest.(check bool) "names the missing vertex" true
+        (Astring.String.is_prefix ~affix:"no participant for graph vertex" e)
+  | Ok _ -> Alcotest.fail "Herlihy launched a graph vertex without a participant"
+
+let test_nolan_missing_participant () =
+  let u, participants, graph = missing_bob 116 in
+  let config = Herlihy.default_config ~delta:(Universe.max_delta u) in
+  refuses_uncovered "Nolan.launch" (fun () -> Nolan.launch u ~config ~graph ~participants ());
+  refuses_uncovered "Nolan.execute" (fun () -> Nolan.execute u ~config ~graph ~participants ())
+
+let test_ac3wn_missing_participant () =
+  let u, participants, graph = missing_bob 117 in
+  refuses_uncovered "Ac3wn.launch" (fun () ->
+      Ac3wn.launch u ~config:ac3wn_config ~graph ~participants ());
+  refuses_uncovered "Ac3wn.execute" (fun () ->
+      Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ())
+
+let test_ac3tw_missing_participant () =
+  (* Trent refuses to register ms(D) without Bob's signature. *)
+  let u, participants, graph = missing_bob 118 in
+  let trent = Trent.create u ~name:"core-test-trent-4" in
+  Alcotest.(check bool) "refused" true
+    (Result.is_error (Ac3tw.execute u ~config:Ac3tw.default_config ~trent ~graph ~participants ()))
 
 (* --- Analysis ------------------------------------------------------------------ *)
 
@@ -455,6 +501,156 @@ let test_analysis_attack_probability_bounds () =
     (Analysis.attack_success_probability ~q:0.3 ~d:5
     < Analysis.attack_success_probability ~q:0.3 ~d:1)
 
+(* --- Driver golden -------------------------------------------------------- *)
+
+(* One line per run: SHA-256 of the trace, the outcome, the latency, the
+   fees grouped by kind and SHA-256 of the universe's observability JSON.
+   Recorded before the three drivers shared one run module; any change
+   to what a driver schedules, records, charges or folds must update
+   them. *)
+let golden_driver_runs =
+  [
+    ( "ac3tw commit",
+      "trace=89baf6a524a4d12e3c0c5c5bf49cd5516eefdfdc03f6cd42c81e94ecd89e14b9 outcome: [btc RD] \
+       [eth RD] atomic=true latency=28.48113100624785 fees=edge_deploy:2:8000,redeem:2:4000 \
+       obs=0468db928a4e6be27ef18bd100d10703054dad9fbee5d8594675aeec4a8d8606" );
+    ( "ac3tw abort_after",
+      "trace=39e79ebb54753c8fb27bae1ab99bc958785e64ed3b10bcdd2890abf05f7611c4 outcome: [btc RF] \
+       [eth RF] atomic=true latency=32.388519097496243 fees=edge_deploy:2:8000,refund:2:4000 \
+       obs=d6fb16198c16d31d558ba9b7c7d3a53519b8a446769fa9b28abdbd2764221b11" );
+    ( "ac3tw trent crashed (E11)",
+      "trace=04361bca5950b815c50347f2551afcdb4ccceb9fba4b51888eedaa70aa7f1e77 outcome: [btc P] \
+       [eth P] atomic=true latency=none fees=edge_deploy:2:8000 \
+       obs=1200f6019d4fb8cd19cd7df7ff80d58c14db4562b237b5bcd64e82dbdad8afe2" );
+    ( "herlihy ring",
+      "trace=dd42b3418ec6a5817f4412dc5200ce3040f99d3b35adb47f89654027ae5372ea outcome: [c1 RD] \
+       [c2 RD] [c3 RD] atomic=true latency=92.276932413973469 \
+       fees=edge_deploy:3:12000,redeem:3:6000 \
+       obs=93e7532b782d81a82aed4b657f00d37dc2af30776251b72c47cba1b766bc86a0" );
+    ( "nolan crash hook (E8)",
+      "trace=39f92cd04a0283229a4d0bd1b217420606ca81bbe958eaa93cd4632cfda76bd0 outcome: [btc RF] \
+       [eth RD] atomic=false latency=98.170351305531085 \
+       fees=edge_deploy:2:8000,redeem:1:2000,refund:1:2000 \
+       obs=5638c337611e4dd4eec372ed37c4e36b31ff4418ac58513892108426fbc7e1ce" );
+    ( "ac3wn commit",
+      "trace=6ae6ba274d3a7f0b296e26d5bc05cbab02ed06d6d9ef144c23663be3b9e8c921 outcome: [btc RD] \
+       [eth RD] atomic=true latency=101.91452782531158 \
+       fees=scw_deploy:1:4000,edge_deploy:2:8000,authorize:1:2000,redeem:2:4000 \
+       obs=631ff3f72104b09b838f35f25e7bc5ea7f5a4ab3f1881a4a59f4155a19fcb8bb" );
+    ( "ac3wn abort_after",
+      "trace=4d46ad9166a426836f706796d1463d3a846c3caa4fd9de0b016d9a4900de3e79 outcome: [btc RF] \
+       [eth RF] atomic=true latency=69.409810355511183 \
+       fees=scw_deploy:1:4000,edge_deploy:2:8000,authorize:1:2000,refund:2:4000 \
+       obs=ce1dbd7e13401a6b67d4129864f8deec8bfc6984ceb4e0be5a125fde876fc5f9" );
+  ]
+
+let fingerprint u (r : Swap_run.result) =
+  let sha256 s = Ac3_crypto.Hex.encode (Ac3_crypto.Sha256.digest s) in
+  let by_kind =
+    List.filter_map
+      (fun (kind, name) ->
+        match List.filter (fun f -> f.Swap_run.kind = kind) r.fees with
+        | [] -> None
+        | fs ->
+            Some
+              (Printf.sprintf "%s:%d:%s" name (List.length fs)
+                 (Ac3_chain.Amount.to_string
+                    (Ac3_chain.Amount.sum (List.map (fun f -> f.Swap_run.fee) fs)))))
+      Swap_run.
+        [
+          (Scw_deploy, "scw_deploy");
+          (Edge_deploy, "edge_deploy");
+          (Authorize, "authorize");
+          (Redeem, "redeem");
+          (Refund, "refund");
+        ]
+  in
+  Printf.sprintf "trace=%s %s latency=%s fees=%s obs=%s"
+    (sha256 (Ac3_sim.Trace.to_string r.trace))
+    (Fmt.str "%a" Outcome.pp r.outcome)
+    (match r.latency with Some l -> Printf.sprintf "%.17g" l | None -> "none")
+    (String.concat "," by_kind)
+    (sha256 (Ac3_crypto.Codec.Json.to_string (Ac3_obs.Obs.to_json (Universe.obs u))))
+
+let test_driver_golden () =
+  let two_party seed =
+    let u, participants = fast_universe ~seed ~chains:[ "btc"; "eth" ] 2 in
+    Universe.run_until u 50.0;
+    let ids = List.map Participant.identity participants in
+    let graph =
+      Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u)
+    in
+    (u, participants, graph)
+  in
+  let ac3tw name seed ?abort_after ?trent_crash_after () =
+    let u, participants, graph = two_party seed in
+    let trent = Trent.create u ~name in
+    Option.iter
+      (fun delay -> ignore (Engine.schedule (Universe.engine u) ~delay (fun () -> Trent.crash trent)))
+      trent_crash_after;
+    let config = { Ac3tw.default_config with Ac3tw.timeout = 1200.0 } in
+    match Ac3tw.execute u ~config ~trent ~graph ~participants ?abort_after () with
+    | Error e -> Alcotest.fail e
+    | Ok r -> fingerprint u r
+  in
+  let herlihy_ring () =
+    let u, participants = fast_universe ~seed:133 ~chains:[ "c1"; "c2"; "c3" ] 3 in
+    Universe.run_until u 50.0;
+    let ids = List.map Participant.identity participants in
+    let graph = Scenarios.ring_graph ~chains:[ "c1"; "c2"; "c3" ] ids ~timestamp:(Universe.now u) in
+    let config =
+      { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 8000.0 }
+    in
+    (* The hook on "start" queues the leader's crash for the instant of
+       its first poll: it lands first only if "start" is recorded before
+       the poll loops are scheduled. *)
+    let leader = List.hd participants in
+    let hooks =
+      [
+        ( "start",
+          fun () ->
+            let engine = Universe.engine u in
+            ignore (Engine.schedule engine ~delay:2.0 (fun () -> Participant.crash leader));
+            ignore (Engine.schedule engine ~delay:40.0 (fun () -> Participant.recover leader)) );
+      ]
+    in
+    match Herlihy.execute u ~config ~graph ~participants ~hooks () with
+    | Error e -> Alcotest.fail e
+    | Ok r -> fingerprint u r
+  in
+  let nolan_crash () =
+    let u, participants, graph = two_party 134 in
+    let bob = List.nth participants 1 in
+    let hooks = [ ("redeem:1", fun () -> Participant.crash bob) ] in
+    let config =
+      { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 }
+    in
+    fingerprint u (Nolan.execute u ~config ~graph ~participants ~hooks ())
+  in
+  let ac3wn seed ?abort_after () =
+    let u, participants, graph = two_party seed in
+    fingerprint u (Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ?abort_after ())
+  in
+  (* Each abort_after fires at the instant of the first participant's
+     first poll, so it lands first only if it is scheduled before the
+     poll loops. *)
+  let runs =
+    [
+      ("ac3tw commit", ac3tw "golden-trent-1" 130 ());
+      ("ac3tw abort_after", ac3tw "golden-trent-2" 131 ~abort_after:2.0 ());
+      ("ac3tw trent crashed (E11)", ac3tw "golden-trent-3" 132 ~trent_crash_after:5.0 ());
+      ("herlihy ring", herlihy_ring ());
+      ("nolan crash hook (E8)", nolan_crash ());
+      ("ac3wn commit", ac3wn 135 ());
+      ("ac3wn abort_after", ac3wn 136 ~abort_after:2.0 ());
+    ]
+  in
+  List.iter2
+    (fun (name, expected) (name', got) ->
+      Alcotest.(check string) "run order" name name';
+      Alcotest.(check string) name expected got)
+    golden_driver_runs runs
+
 let () =
   Alcotest.run "core"
     [
@@ -467,6 +663,7 @@ let () =
             test_ac3wn_crash_after_decision_still_atomic;
           Alcotest.test_case "cyclic graph (Fig 7a)" `Slow test_ac3wn_cyclic_graph;
           Alcotest.test_case "disconnected graph (Fig 7b)" `Slow test_ac3wn_disconnected_graph;
+          Alcotest.test_case "missing participant refused" `Quick test_ac3wn_missing_participant;
         ] );
       ( "baselines",
         [
@@ -475,12 +672,17 @@ let () =
           Alcotest.test_case "nolan honest commit" `Slow test_nolan_honest_commit;
           Alcotest.test_case "herlihy rejects Fig 7 graphs" `Quick test_herlihy_rejects_fig7_graphs;
           Alcotest.test_case "herlihy sequential deployment" `Slow test_herlihy_sequential_deployment;
+          Alcotest.test_case "herlihy missing participant refused" `Quick
+            test_herlihy_missing_participant;
+          Alcotest.test_case "nolan missing participant refused" `Quick
+            test_nolan_missing_participant;
         ] );
       ( "ac3tw",
         [
           Alcotest.test_case "commit" `Slow test_ac3tw_commit;
           Alcotest.test_case "abort" `Slow test_ac3tw_abort;
           Alcotest.test_case "trent mutual exclusion" `Quick test_trent_mutual_exclusion;
+          Alcotest.test_case "missing participant refused" `Quick test_ac3tw_missing_participant;
         ] );
       ( "analysis",
         [
@@ -510,6 +712,7 @@ let () =
           Alcotest.test_case "atomicity logic" `Quick test_outcome_logic;
           Alcotest.test_case "exhaustive status pairs" `Quick test_outcome_status_pairs;
         ] );
+      ("drivers", [ Alcotest.test_case "golden runs per protocol" `Slow test_driver_golden ]);
       ( "experiments",
         [
           Alcotest.test_case "Trent unavailability locks assets (E11)" `Slow

@@ -323,7 +323,7 @@ let qcheck_static_matches_dynamic =
       in
       let dynamic_ok =
         match H.execute u ~config ~graph ~participants () with
-        | Ok r -> r.H.committed && r.H.atomic
+        | Ok r -> r.Ac3_core.Swap_run.committed && r.Ac3_core.Swap_run.atomic
         | Error _ -> false
       in
       static_ok = dynamic_ok

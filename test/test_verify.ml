@@ -279,8 +279,8 @@ let test_herlihy_verify_commits () =
   match Herlihy.execute u ~config ~graph ~participants ~verify:true () with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      Alcotest.(check bool) "committed" true r.Herlihy.committed;
-      Alcotest.(check bool) "atomic" true r.Herlihy.atomic
+      Alcotest.(check bool) "committed" true r.Swap_run.committed;
+      Alcotest.(check bool) "atomic" true r.Swap_run.atomic
 
 let test_ac3wn_preflight_all_scenarios () =
   (* AC3WN's static obligation is well-formedness only: every built-in
