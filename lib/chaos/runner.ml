@@ -258,38 +258,38 @@ let run_one ?instrument ~spec ~plan ~protocol () =
     Oracle.Single_leader
       { delta; timelock_slack = single_leader_config.Herlihy.timelock_slack; start_time }
   in
-  let executed =
-    match protocol with
-    | P_nolan when Ac2t.classify graph <> Ac2t.Simple_swap ->
-        Error (Skipped "nolan: not a two-party swap")
-    | P_nolan | P_herlihy | P_ac3wn -> (
-        Inject.install ~universe ~participants plan;
-        match protocol with
-        | P_nolan -> (
-            match Nolan.execute universe ~config:single_leader_config ~graph ~participants () with
-            | result -> Ok (result, static_single)
-            | exception Invalid_argument msg -> Error (Rejected msg))
-        | P_herlihy -> (
-            match Herlihy.execute universe ~config:single_leader_config ~graph ~participants () with
-            | Ok result -> Ok (result, static_single)
-            | Error msg -> Error (Rejected msg))
-        | P_ac3wn ->
-            let config =
-              {
-                (Ac3wn.default_config ~witness_chain:"witness") with
-                evidence_depth = 2;
-                decision_depth = 3;
-                timeout = protocol_timeout;
-              }
-            in
-            let result = Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () in
-            Ok (result, Oracle.Witness))
-  in
-  match executed with
-  | Error exec -> finish exec
-  | Ok (result, static) ->
-      let v = Oracle.check ~universe ~graph ~contracts:result.Swap_run.contracts ~static in
-      finish ~trace:result.Swap_run.trace ~flow:(flow_check v) (Verdict v)
+  if protocol = P_nolan && Ac2t.classify graph <> Ac2t.Simple_swap then
+    finish (Skipped "nolan: not a two-party swap")
+  else begin
+    Inject.install ~universe ~participants plan;
+    let executed =
+      match protocol with
+      | P_nolan -> (
+          match Nolan.execute universe ~config:single_leader_config ~graph ~participants () with
+          | result -> Ok (result, static_single)
+          | exception Invalid_argument msg -> Error msg)
+      | P_herlihy ->
+          Result.map
+            (fun result -> (result, static_single))
+            (Herlihy.execute universe ~config:single_leader_config ~graph ~participants ())
+      | P_ac3wn ->
+          let config =
+            {
+              (Ac3wn.default_config ~witness_chain:"witness") with
+              evidence_depth = 2;
+              decision_depth = 3;
+              timeout = protocol_timeout;
+            }
+          in
+          let result = Ac3wn.execute universe ~config ~graph ~participants ~abort_after:250.0 () in
+          Ok (result, Oracle.Witness)
+    in
+    match executed with
+    | Error msg -> finish (Rejected msg)
+    | Ok (result, static) ->
+        let v = Oracle.check ~universe ~graph ~contracts:result.Swap_run.contracts ~static in
+        finish ~trace:result.Swap_run.trace ~flow:(flow_check v) (Verdict v)
+  end
 
 (* Fingerprint of everything observable about a report. Reports hold
    closures and custom blocks (obs contexts, traces), so the generic

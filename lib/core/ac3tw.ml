@@ -83,10 +83,11 @@ let act run p ~redeeming signature =
         String.equal pk (if redeeming then es.edge.Ac2t.to_pk else es.edge.Ac2t.from_pk)
         && (if redeeming then es.redeem_txid else es.refund_txid) = None
         && Option.is_some (Swap_run.published run.base es)
-        && Swap_run.settle run.base p es ~redeeming ~args:(Centralized_sc.secret_args signature)
       then
-        Swap_run.record run.base
-          (Printf.sprintf "%s:%d" (if redeeming then "redeem" else "refund") i))
+        if Swap_run.settle run.base p es ~redeeming ~args:(Centralized_sc.secret_args signature)
+        then
+          Swap_run.record run.base
+            (Printf.sprintf "%s:%d" (if redeeming then "redeem" else "refund") i))
     run.base.edges
 
 let step run p =
@@ -119,10 +120,8 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
                 (Engine.schedule (Universe.engine universe) ~delay (fun () ->
                      if run.redeem_signature = None then run.abort_requested <- true)))
             abort_after;
-          Swap_run.poll base ~poll_interval:config.poll_interval (step run);
-          let finished =
-            Universe.run_while universe ~timeout:config.timeout (fun () ->
-                Swap_run.all_settled base ~aborted:(run.refund_signature <> None))
-          in
-          Swap_run.conclude base ~finished)
+          Swap_run.execute ~timeout:config.timeout
+            (Swap_run.start base ~poll_interval:config.poll_interval ~step:(step run)
+               ~settled:(fun () -> Swap_run.all_settled base ~aborted:(run.refund_signature <> None))
+               ~phases:[] ~observe:(fun ~finished:_ -> ())))
         (Swap_run.create universe ~graph ~participants ~hooks:[]))

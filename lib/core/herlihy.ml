@@ -153,8 +153,9 @@ let try_redeem run p =
           String.equal es.edge.Ac2t.to_pk pk
           && es.redeem_txid = None
           && Option.is_some (Swap_run.published base es)
-          && Swap_run.settle base p es ~redeeming:true ~args:(Htlc.redeem_args ~secret:run.secret)
-        then Swap_run.record base (Printf.sprintf "redeem:%d" i))
+        then
+          if Swap_run.settle base p es ~redeeming:true ~args:(Htlc.redeem_args ~secret:run.secret)
+          then Swap_run.record base (Printf.sprintf "redeem:%d" i))
       base.edges
 
 (* Refund expired outgoing contracts. This is each sender's rational
@@ -172,8 +173,9 @@ let try_refund run p =
         && es.redeem_txid = None
         && now >= run.timelocks.(i)
         && Option.is_some (Swap_run.published base es)
-        && Swap_run.settle base p es ~redeeming:false ~args:Htlc.refund_args
-      then Swap_run.record base (Printf.sprintf "refund:%d" i))
+      then
+        if Swap_run.settle base p es ~redeeming:false ~args:Htlc.refund_args then
+          Swap_run.record base (Printf.sprintf "refund:%d" i))
     base.edges
 
 let step run p =

@@ -35,16 +35,21 @@ type edge = {
   mutable refund_txid : string option;
 }
 
+(* What only the driver touches: protocols see the rest of [t]. *)
+type driver = {
+  participants : Participant.t list;
+  hooks : (string * (unit -> unit)) list;
+  mutable fees : fee_entry list;
+  mutable polling : bool;
+}
+
 type t = {
   universe : Universe.t;
   graph : Ac2t.t;
-  participants : Participant.t list;
   edges : edge array;
   trace : Trace.t;
-  hooks : (string * (unit -> unit)) list;
   start_time : float;
-  mutable fees : fee_entry list;
-  mutable polling : bool;
+  driver : driver;
 }
 
 (* Record a trace label once; the first occurrence fires any hook bound to
@@ -52,7 +57,7 @@ type t = {
 let record t ?attrs label =
   if Trace.time_of t.trace label = None then begin
     Trace.record t.trace ~time:(Universe.now t.universe) ?attrs label;
-    match List.assoc_opt label t.hooks with Some hook -> hook () | None -> ()
+    match List.assoc_opt label t.driver.hooks with Some hook -> hook () | None -> ()
   end
 
 let create universe ~graph ~participants ~hooks =
@@ -68,7 +73,6 @@ let create universe ~graph ~participants ~hooks =
         {
           universe;
           graph;
-          participants;
           edges =
             Array.of_list
               (List.map
@@ -82,16 +86,14 @@ let create universe ~graph ~participants ~hooks =
                    })
                  (Ac2t.edges graph));
           trace = Trace.create ();
-          hooks;
           start_time = Universe.now universe;
-          fees = [];
-          polling = true;
+          driver = { participants; hooks; fees = []; polling = true };
         }
       in
       record t "start";
       Ok t
 
-let charge t ~payer ~kind ~fee = t.fees <- { payer; kind; fee } :: t.fees
+let charge t ~payer ~kind ~fee = t.driver.fees <- { payer; kind; fee } :: t.driver.fees
 
 (* --- Calls on the edge contracts ---------------------------------------- *)
 
@@ -158,18 +160,19 @@ let all_settled t ~aborted =
 (* One poll loop per participant, staggered so they do not act in
    lockstep; every loop stops once the run is concluded. *)
 let poll t ~poll_interval step =
+  let driver = t.driver in
   List.iteri
     (fun i p ->
       let _stop : unit -> unit =
         Engine.schedule_repeating
-          ~while_:(fun () -> t.polling)
+          ~while_:(fun () -> driver.polling)
           (Universe.engine t.universe)
           ~first:(poll_interval *. (1.0 +. (0.1 *. float_of_int i)))
           ~every:poll_interval
           (fun () -> step p)
       in
       ())
-    t.participants
+    driver.participants
 
 type result = {
   graph : Ac2t.t;
@@ -183,7 +186,7 @@ type result = {
 }
 
 let conclude t ~finished =
-  t.polling <- false;
+  t.driver.polling <- false;
   if finished then record t "completed";
   let contracts = Array.to_list (Array.map (fun es -> es.contract_id) t.edges) in
   let outcome = Outcome.evaluate t.universe ~graph:t.graph ~contracts in
@@ -195,7 +198,7 @@ let conclude t ~finished =
     committed = Outcome.committed outcome;
     latency = (if finished then Some (Universe.now t.universe -. t.start_time) else None);
     trace = t.trace;
-    fees = t.fees;
+    fees = t.driver.fees;
   }
 
 (* Fold a concluded run into the universe's observability context:

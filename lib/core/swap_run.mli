@@ -26,16 +26,17 @@ type edge = {
   mutable refund_txid : string option;
 }
 
+(** The participants, label hooks, fee ledger and poll-loop flag, which
+    only the driver reads or changes. *)
+type driver
+
 type t = {
   universe : Universe.t;
   graph : Ac2t.t;
-  participants : Participant.t list;  (** poll-loop order *)
   edges : edge array;  (** graph order *)
   trace : Ac3_sim.Trace.t;
-  hooks : (string * (unit -> unit)) list;
   start_time : float;
-  mutable fees : fee_entry list;  (** newest first *)
-  mutable polling : bool;
+  driver : driver;
 }
 
 (** A fresh run over [graph], with ["start"] recorded. [Error] if a
@@ -77,11 +78,6 @@ val deploy_confirmed : t -> edge -> bool
     sender crashed): such a run ends only at the caller's timeout. *)
 val all_settled : t -> aborted:bool -> bool
 
-(** Schedule one poll loop per participant calling [step] every
-    [poll_interval], staggered by 10% of the interval per participant;
-    the loops stop when the run is concluded. *)
-val poll : t -> poll_interval:float -> (Participant.t -> unit) -> unit
-
 type result = {
   graph : Ac2t.t;
   contracts : string option list;  (** per-edge contract ids, graph order *)
@@ -90,12 +86,8 @@ type result = {
   committed : bool;
   latency : float option;  (** start to settled, virtual seconds *)
   trace : Ac3_sim.Trace.t;
-  fees : fee_entry list;
+  fees : fee_entry list;  (** newest first *)
 }
-
-(** Stop polling, record ["completed"] if [finished], evaluate the
-    outcome. *)
-val conclude : t -> finished:bool -> result
 
 (** Fold a concluded run into the universe's observability context:
     [core.{deploy,redeem,refund}.submitted], [core.run.completed] or
@@ -108,8 +100,10 @@ val observe : t -> name:string -> phases:Ac3_obs.Span.phase list -> finished:boo
     the same universe) and calls {!finish} exactly once. *)
 type handle
 
-(** {!poll} with the protocol's [step] and wrap the run with its
-    decision rule [settled], its phase table and its [observe] fold. *)
+(** Schedule one poll loop per participant calling [step] every
+    [poll_interval], staggered by 10% of the interval per participant,
+    and wrap the run with its decision rule [settled], its phase table
+    and its [observe] fold. The loops stop when the run is finished. *)
 val start :
   t ->
   poll_interval:float ->
@@ -122,7 +116,8 @@ val start :
 val settled : handle -> bool
 
 (** Conclude the run, whether it settled or a deadline expired with it
-    in flight, then run the protocol's observability fold. *)
+    in flight: stop the poll loops, record ["completed"] if it settled,
+    evaluate the outcome, then run the protocol's observability fold. *)
 val finish : handle -> result
 
 (** Drive the universe until the run settles or [timeout] passes, then
