@@ -721,13 +721,13 @@ module Sha256 = Ac3_crypto.Sha256
 module Engine = Ac3_sim.Engine
 module Sim_heap = Ac3_sim.Heap
 
-(* The boxed-heap dispatch loop the index-sorted arena replaced, reduced
+(* The boxed-heap dispatch loop the engine's index heap replaced, reduced
    to its essentials (one record per event, records ordered in the
    heap). test/reference.ml keeps the full engine compiled for the
    differential harness; this copy exists so the benchmark can put a
    number on the same comparison. *)
 module Boxed_dispatch = struct
-  type ev = { time : float; seq : int; cb : unit -> unit; mutable cancelled : bool }
+  type ev = { time : float; seq : int; cb : unit -> unit }
 
   let cmp a b =
     let c = Float.compare a.time b.time in
@@ -736,14 +736,13 @@ module Boxed_dispatch = struct
   let run n acc =
     let h = Sim_heap.create cmp in
     for i = 0 to n - 1 do
-      Sim_heap.push h
-        { time = float_of_int (i land 255); seq = i; cb = (fun () -> incr acc); cancelled = false }
+      Sim_heap.push h { time = float_of_int (i land 255); seq = i; cb = (fun () -> incr acc) }
     done;
     let rec drain () =
       match Sim_heap.pop h with
       | None -> ()
       | Some e ->
-          if not e.cancelled then e.cb ();
+          e.cb ();
           drain ()
     in
     drain ()
@@ -752,7 +751,7 @@ end
 let arena_dispatch_run n acc =
   let e = Engine.create () in
   for i = 0 to n - 1 do
-    ignore (Engine.schedule_at e ~time:(float_of_int (i land 255)) (fun () -> incr acc))
+    Engine.schedule_at e ~time:(float_of_int (i land 255)) (fun () -> incr acc)
   done;
   ignore (Engine.run e)
 
@@ -941,7 +940,7 @@ let fast_bench ~runs () =
   let reorg_x = rebuild_s /. inc_per_reorg in
   Fmt.pr "  reorg (%d flips):    %7.2f ms/reorg incremental vs %7.1f ms rescan  (%.0fx)@." reorgs
     (1000. *. inc_per_reorg) (1000. *. rebuild_s) reorg_x;
-  (* Kernel 4: event dispatch, index-sorted arena vs boxed heap. *)
+  (* Kernel 4: event dispatch, the engine's index heap vs boxed heap. *)
   let acc = ref 0 in
   let boxed_s, () = wall (fun () -> for _ = 1 to 20 do Boxed_dispatch.run 20_000 acc done) in
   let arena_s, () = wall (fun () -> for _ = 1 to 20 do arena_dispatch_run 20_000 acc done) in

@@ -198,9 +198,8 @@ let execute_protocol protocol u ~participants ~graph ~crash =
       in
       let hooks = crash_bob_at "authorize_redeem_submitted" in
       if crash then
-        ignore
-          (Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
-               P.recover (List.nth participants 1)));
+        Ac3_sim.Engine.schedule (U.engine u) ~delay:2000.0 (fun () ->
+            P.recover (List.nth participants 1));
       Ok (A.execute u ~config ~graph ~participants ~hooks ())
   | Herlihy | Nolan ->
       let config = { (H.default_config ~delta:(U.max_delta u)) with H.timeout = 100_000.0 } in
@@ -508,20 +507,25 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let chaos_replay ~jobs ~metrics_out ~trace_out path =
-  let repro = Repro.of_string (read_file path) in
-  Fmt.pr "replaying %s (%a; %a)@." path Plan.pp_spec repro.Repro.spec Plan.pp repro.Repro.plan;
-  let results = Repro.replay ~jobs repro in
-  List.iter (fun r -> Fmt.pr "%a@." Repro.pp_replay_result r) results;
-  export_obs ?metrics_out ?trace_out
-    (merged_report_obs (List.map (fun r -> r.Repro.report) results));
-  if Repro.replay_ok results then begin
-    Fmt.pr "replay: all %d expectation(s) matched@." (List.length results);
-    0
-  end
-  else begin
-    Fmt.pr "replay: MISMATCH — behavior differs from the recorded reproducer@.";
-    3
-  end
+  match Repro.of_string (read_file path) with
+  | exception (Plan.Malformed msg | Ac3_crypto.Codec.Decode_error msg | Sys_error msg) ->
+      Fmt.epr "chaos --replay: cannot read reproducer %s: %s@." path msg;
+      1
+  | repro ->
+      Fmt.pr "replaying %s (%a; %a)@." path Plan.pp_spec repro.Repro.spec Plan.pp
+        repro.Repro.plan;
+      let results = Repro.replay ~jobs repro in
+      List.iter (fun r -> Fmt.pr "%a@." Repro.pp_replay_result r) results;
+      export_obs ?metrics_out ?trace_out
+        (merged_report_obs (List.map (fun r -> r.Repro.report) results));
+      if Repro.replay_ok results then begin
+        Fmt.pr "replay: all %d expectation(s) matched@." (List.length results);
+        0
+      end
+      else begin
+        Fmt.pr "replay: MISMATCH — behavior differs from the recorded reproducer@.";
+        3
+      end
 
 let chaos_shrink ~seed ~protocol ~load ~jobs ~out ~metrics_out ~trace_out =
   let spec, plan = Plan.sample ~load ~seed () in
@@ -846,7 +850,6 @@ let check_cmd =
 
 module Flow = Ac3_flow.Flow
 module Flow_lint = Ac3_verify.Flow_lint
-module Flow_repro = Ac3_chaos.Flow_repro
 
 let flow_profile_conv =
   Arg.enum [ ("single-leader", Flow.Single_leader); ("witness", Flow.Witness) ]
@@ -874,15 +877,19 @@ let export_flow_witness ~path ~parties ~seed results =
         Printf.sprintf "F001-crash-exposure witness: party %d on %s" w.Flow.victim_index
           (scenario_name s)
       in
+      (* Witness indices are Ac2t.participants order, which is the
+         runner's identity order, so they are Plan.Crash party indices. *)
       let outcome =
-        Flow_repro.concretize ~note ~spec ~protocol:MC.Herlihy ~victims:w.Flow.crash ()
+        Model_repro.concretize ~note ~spec ~protocol:MC.Herlihy
+          ~schedule:(List.map (fun p -> Ac3_model.Semantics.Crash p) w.Flow.crash)
+          ()
       in
       let oc = open_out_bin path in
-      output_string oc (Repro.to_string outcome.Flow_repro.repro);
+      output_string oc (Repro.to_string outcome.Model_repro.repro);
       close_out oc;
       Fmt.epr "export: F001 concretized in %d dynamic run(s), %s; reproducer written to %s@."
-        outcome.Flow_repro.attempts
-        (if outcome.Flow_repro.confirmed then "exposure CONFIRMED on the simulator"
+        outcome.Model_repro.attempts
+        (if outcome.Model_repro.confirmed then "exposure CONFIRMED on the simulator"
          else "not confirmed dynamically")
         path
 

@@ -79,12 +79,11 @@ let schedule_next t =
       if params.Params.regular_blocks then mean
       else Rng.exponential t.rng ~mean
     in
-    ignore
-      (Engine.schedule t.engine ~delay (fun () ->
-           if t.running then begin
-             mine_one t;
-             arm ()
-           end))
+    Engine.schedule t.engine ~delay (fun () ->
+        if t.running then begin
+          mine_one t;
+          arm ()
+        end)
   in
   arm ()
 
@@ -96,7 +95,7 @@ let start t =
     let params = Node.params t.node in
     if params.Params.regular_blocks then begin
       let offset = Rng.float t.rng (params.Params.block_interval /. t.share) in
-      ignore (Engine.schedule t.engine ~delay:offset (fun () -> if t.running then schedule_next t))
+      Engine.schedule t.engine ~delay:offset (fun () -> if t.running then schedule_next t)
     end
     else schedule_next t
   end

@@ -7,9 +7,6 @@ type message =
 
 type t
 
-(** Verdict of a fault hook on one message in flight. *)
-type fault_action = Pass | Drop_msg | Delay_extra of float
-
 val create :
   ?min_delay:float -> ?max_delay:float -> engine:Ac3_sim.Engine.t -> rng:Ac3_sim.Rng.t -> unit -> t
 
@@ -24,12 +21,6 @@ val set_drop_probability : t -> float -> unit
 
 val drop_probability : t -> float
 
-(** Install a hook consulted for every reachable message before the
-    Bernoulli drop; it may pass, drop, or add delay to the message. *)
-val set_fault_hook : t -> (from:string -> to_:string -> message -> fault_action) -> unit
-
-val clear_fault_hook : t -> unit
-
 (** Raises [Invalid_argument] on duplicate ids. *)
 val register : t -> id:string -> (message -> unit) -> unit
 
@@ -41,11 +32,6 @@ val reachable : t -> from:string -> to_:string -> bool
 val partition : t -> string list list -> unit
 
 val heal : t -> unit
-
-(** Cut one endpoint off from everyone. *)
-val isolate : t -> string -> unit
-
-val reconnect : t -> string -> unit
 
 val send : t -> from:string -> to_:string -> message -> unit
 

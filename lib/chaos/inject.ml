@@ -15,8 +15,9 @@ module Node = Ac3_chain.Node
 module Universe = Ac3_core.Universe
 module Participant = Ac3_core.Participant
 
-let schedule u ~at thunk =
-  if at >= 0.0 then ignore (Engine.schedule (Universe.engine u) ~delay:at thunk)
+(* Plan times are validated non-negative at parse time, so a negative
+   one here is a harness bug and [Engine.schedule] raises on it. *)
+let schedule u ~at thunk = Engine.schedule (Universe.engine u) ~delay:at thunk
 
 (* Plans may reference chains a hand-edited spec does not have; skip
    those faults rather than crashing the harness. *)

@@ -53,6 +53,10 @@ let shape_of_string = function
 
 let chain_names spec = List.init spec.nchains (Printf.sprintf "c%d")
 
+(* The sampler draws 0-3 chords. Sixteen still replays on a two-party
+   spec; a few dozen exhaust the parties' 64 one-time signatures. *)
+let max_extra_edges = 16
+
 let validate_spec spec =
   let arity_ok =
     match spec.shape with
@@ -68,7 +72,8 @@ let validate_spec spec =
       spec.parties spec.nchains;
   if spec.parties < 2 || spec.parties > 8 then fail "parties out of range: %d" spec.parties;
   if spec.nchains < 2 || spec.nchains > 8 then fail "nchains out of range: %d" spec.nchains;
-  if spec.extra_edges < 0 then fail "negative extra_edges";
+  if spec.extra_edges < 0 || spec.extra_edges > max_extra_edges then
+    fail "extra_edges out of range: %d (0..%d)" spec.extra_edges max_extra_edges;
   if spec.load < 1 || spec.load > 16 then fail "load out of range: %d" spec.load;
   spec
 
@@ -264,19 +269,46 @@ let fault_to_json fault =
   | Witness_outage { at; duration } ->
       Json.Obj [ ("kind", Json.String "witness_outage"); ("at", f at); ("duration", f duration) ]
 
+(* Field readers that reject values the injector cannot honour: a
+   reproducer is untrusted input, and a bad value must surface as
+   [Malformed], not as an exception deep in a run or a silently skipped
+   fault. *)
 let fault_of_json j =
-  let fl k = Json.to_float (Json.member k j) in
-  let it k = Json.to_int (Json.member k j) in
   let st k = Json.to_str (Json.member k j) in
+  let fl k ok what =
+    let x = Json.to_float (Json.member k j) in
+    if Float.is_finite x && ok x then x else fail "%s must be %s, got %g" k what x
+  in
+  let it k lo =
+    let n = Json.to_int (Json.member k j) in
+    if n >= lo then n else fail "%s must be >= %d, got %d" k lo n
+  in
+  let time k = fl k (fun x -> x >= 0.0) "a finite time >= 0" in
+  let at () = time "at" and duration () = time "duration" in
   match st "kind" with
-  | "crash" -> Crash { party = it "party"; at = fl "at" }
-  | "restart" -> Restart { party = it "party"; at = fl "at" }
-  | "partition" -> Partition { chain = st "chain"; at = fl "at"; duration = fl "duration"; cut = it "cut" }
-  | "delay" -> Delay { chain = st "chain"; at = fl "at"; duration = fl "duration"; factor = fl "factor" }
-  | "drop" -> Drop { chain = st "chain"; at = fl "at"; duration = fl "duration"; p = fl "p" }
-  | "mining_stall" -> Mining_stall { chain = st "chain"; at = fl "at"; duration = fl "duration" }
-  | "mining_burst" -> Mining_burst { chain = st "chain"; at = fl "at"; blocks = it "blocks" }
-  | "witness_outage" -> Witness_outage { at = fl "at"; duration = fl "duration" }
+  | "crash" -> Crash { party = it "party" 0; at = at () }
+  | "restart" -> Restart { party = it "party" 0; at = at () }
+  | "partition" ->
+      Partition { chain = st "chain"; at = at (); duration = duration (); cut = it "cut" 1 }
+  | "delay" ->
+      Delay
+        {
+          chain = st "chain";
+          at = at ();
+          duration = duration ();
+          factor = fl "factor" (fun x -> x > 0.0) "finite and > 0";
+        }
+  | "drop" ->
+      Drop
+        {
+          chain = st "chain";
+          at = at ();
+          duration = duration ();
+          p = fl "p" (fun x -> x >= 0.0 && x <= 1.0) "in [0, 1]";
+        }
+  | "mining_stall" -> Mining_stall { chain = st "chain"; at = at (); duration = duration () }
+  | "mining_burst" -> Mining_burst { chain = st "chain"; at = at (); blocks = it "blocks" 0 }
+  | "witness_outage" -> Witness_outage { at = at (); duration = duration () }
   | k -> fail "unknown fault kind %S" k
 
 let to_json plan = Json.List (List.map fault_to_json plan)

@@ -15,7 +15,7 @@ type spec = {
   shape : shape;
   parties : int;
   nchains : int;
-  extra_edges : int;  (** ring chords (Random shape only) *)
+  extra_edges : int;  (** ring chords (Random shape only), 0..{!max_extra_edges} *)
   load : int;
       (** concurrent background two-party swaps sharing the universe
           with the protocol under test (>= 1; 1 = just that protocol).
@@ -57,8 +57,16 @@ val horizon : float
     sampled spec — it never perturbs the seed's spec or fault stream. *)
 val sample : ?load:int -> seed:int -> unit -> spec * t
 
+(** Most ring chords a spec may ask for. The sampler draws 0-3; the cap
+    keeps a hand-edited spec within the parties' one-time signatures. *)
+val max_extra_edges : int
+
 (** {2 JSON} — deterministic, diffable; parsing raises {!Malformed} or
-    {!Ac3_crypto.Codec.Decode_error}. *)
+    {!Ac3_crypto.Codec.Decode_error}. Besides structure, parsing rejects
+    values the injector cannot honour: a negative [party]; an [at] or
+    [duration] that is negative or not finite; [p] outside [0, 1]; a
+    [factor] that is not finite and positive; [cut] < 1; [blocks] < 0;
+    and a spec outside its shape's arity or the ranges above. *)
 
 val spec_to_json : spec -> Ac3_crypto.Codec.Json.t
 

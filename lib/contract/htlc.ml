@@ -58,3 +58,34 @@ let hashlock_of_secret s = Sha256.digest s
 let redeem_args ~secret = Value.Bytes secret
 
 let refund_args = Value.Unit
+
+(* Herlihy's timelock schedule: BFS depths from the leader over directed
+   edges, then each edge expires at start + delta * (2*Diam - depth +
+   slack). Contracts deployed later expire sooner, so everyone who acts
+   on time can redeem before their own lock expires. *)
+let timelock_schedule graph ~leader ~delta ~slack ~start =
+  let dist = Hashtbl.create 8 in
+  Hashtbl.replace dist leader 0;
+  let q = Queue.create () in
+  Queue.push leader q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    let du = Hashtbl.find dist u in
+    List.iter
+      (fun (e : Ac2t.edge) ->
+        if String.equal e.Ac2t.from_pk u && not (Hashtbl.mem dist e.Ac2t.to_pk) then begin
+          Hashtbl.replace dist e.Ac2t.to_pk (du + 1);
+          Queue.push e.Ac2t.to_pk q
+        end)
+      (Ac2t.edges graph)
+  done;
+  match List.find_opt (fun v -> not (Hashtbl.mem dist v)) (Ac2t.participants graph) with
+  | Some v -> Error v
+  | None ->
+      let diam = Ac2t.diameter graph in
+      Ok
+        (List.map
+           (fun (e : Ac2t.edge) ->
+             let depth = Hashtbl.find dist e.Ac2t.from_pk in
+             (depth, start +. (delta *. (float_of_int ((2 * diam) - depth) +. slack))))
+           (Ac2t.edges graph))

@@ -23,3 +23,16 @@ val refund_args : Value.t
 (** Declared value semantics (Algorithm 1: full-deposit escrow,
     conserving redeem/refund). *)
 val econ : Econ.t
+
+(** Herlihy's timelock schedule (Sec 5.2): an edge whose source sits at
+    BFS depth [d] from [leader] over directed edges expires at
+    [start + delta * (2*Diam(graph) - d + slack)]. Returns [(d, expiry)]
+    per edge in graph order, or [Error v] with the first participant (in
+    graph order) that [leader] cannot reach. *)
+val timelock_schedule :
+  Ac2t.t ->
+  leader:Ac3_crypto.Keys.public ->
+  delta:float ->
+  slack:float ->
+  start:float ->
+  ((int * float) list, Ac3_crypto.Keys.public) result

@@ -116,9 +116,8 @@ let execute universe ~config ~trent ~graph ~participants ?abort_after () =
           in
           Option.iter
             (fun delay ->
-              ignore
-                (Engine.schedule (Universe.engine universe) ~delay (fun () ->
-                     if run.redeem_signature = None then run.abort_requested <- true)))
+              Engine.schedule (Universe.engine universe) ~delay (fun () ->
+                  if run.redeem_signature = None then run.abort_requested <- true))
             abort_after;
           Swap_run.execute ~timeout:config.timeout
             (Swap_run.start base ~poll_interval:config.poll_interval ~step:(step run)

@@ -394,19 +394,7 @@ type handle = Swap_run.handle
    crash a participant the moment a phase starts). [abort_after]
    requests the refund path after that many virtual seconds if SCw is
    still undecided. *)
-let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?(verify = false) () =
-  (if verify then
-     let preflight =
-       Ac3_verify.Diagnostic.errors (Ac3_verify.Verify.ac3wn_preflight ~graph)
-       (* Timelock parameters are irrelevant to the witness protocol's
-          product model; zero fault budget, as for Herlihy. *)
-       @ Ac3_model.Checker.preflight_errors ~protocol:Ac3_model.Checker.Ac3wn ~graph
-           ~delta:1.0 ~timelock_slack:0.0 ~start_time:0.0
-     in
-     if preflight <> [] then
-       invalid_arg
-         (Fmt.str "Ac3wn.launch: static verification failed:@.%s"
-            (Ac3_verify.Verify.render preflight)));
+let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after () =
   match Swap_run.create universe ~graph ~participants ~hooks with
   | Error e -> invalid_arg ("Ac3wn.launch: " ^ e)
   | Ok base ->
@@ -427,12 +415,11 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?(ve
       in
       Option.iter
         (fun delay ->
-          ignore
-            (Engine.schedule (Universe.engine universe) ~delay (fun () ->
-                 if scw_status run = `P || run.scw_id = None then begin
-                   run.abort_requested <- true;
-                   Swap_run.record base "abort_requested"
-                 end)))
+          Engine.schedule (Universe.engine universe) ~delay (fun () ->
+              if scw_status run = `P || run.scw_id = None then begin
+                run.abort_requested <- true;
+                Swap_run.record base "abort_requested"
+              end))
         abort_after;
       Swap_run.start base ~poll_interval:config.poll_interval ~step:(step run)
         ~settled:(fun () -> all_settled run)
@@ -440,7 +427,7 @@ let launch universe ~config ~graph ~participants ?(hooks = []) ?abort_after ?(ve
 
 (* Execute an AC2T end to end: {!launch}, drive the universe until the
    run settles (or the timeout), {!Swap_run.finish}. *)
-let execute universe ~config ~graph ~participants ?hooks ?abort_after ?verify () =
+let execute universe ~config ~graph ~participants ?hooks ?abort_after () =
   Swap_run.execute
-    (launch universe ~config ~graph ~participants ?hooks ?abort_after ?verify ())
+    (launch universe ~config ~graph ~participants ?hooks ?abort_after ())
     ~timeout:config.timeout

@@ -32,9 +32,7 @@ type handle = Swap_run.handle
     start moving: [participants] must cover the graph's vertices
     ([Invalid_argument] otherwise), [hooks] bind trace labels to
     callbacks, [abort_after] requests the refund path after that many
-    virtual seconds if SCw is still undecided, and [~verify:true] raises
-    [Invalid_argument] on a static verification failure before anything
-    touches a chain. *)
+    virtual seconds if SCw is still undecided. *)
 val launch :
   Universe.t ->
   config:config ->
@@ -42,7 +40,6 @@ val launch :
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
   ?abort_after:float ->
-  ?verify:bool ->
   unit ->
   handle
 
@@ -51,9 +48,7 @@ val launch :
     ["authorize_redeem_submitted"]) to callbacks, letting experiments
     crash participants at precise protocol phases. [abort_after]
     requests the refund path after that many virtual seconds if SCw is
-    still undecided. With [~verify:true] the static graph lints
-    ({!Ac3_verify.Verify.ac3wn_preflight}) run first; any error raises
-    [Invalid_argument] before anything touches a chain. *)
+    still undecided. *)
 val execute :
   Universe.t ->
   config:config ->
@@ -61,6 +56,5 @@ val execute :
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
   ?abort_after:float ->
-  ?verify:bool ->
   unit ->
   Swap_run.result

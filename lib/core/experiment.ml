@@ -342,8 +342,7 @@ let crash_experiment ?(seed = 800) () =
         ( "authorize_redeem_submitted",
           fun () ->
             Participant.crash bob;
-            ignore
-              (Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob))
+            Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob)
         );
       ]
     in
@@ -682,8 +681,7 @@ let availability ?(seed = 1100) () =
     let trent = Trent.create u ~name:(Printf.sprintf "trent%d" seed) in
     (* Trent goes down shortly after registration — before the contracts
        confirm — and never returns. *)
-    ignore
-      (Engine.schedule (Universe.engine u) ~delay:5.0 (fun () -> Trent.crash trent));
+    Engine.schedule (Universe.engine u) ~delay:5.0 (fun () -> Trent.crash trent);
     let graph =
       Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u)
     in
@@ -713,9 +711,8 @@ let availability ?(seed = 1100) () =
     (* One of the witness-network's nodes crashes at the same point; the
        chain keeps producing blocks and the protocol commits. *)
     let witness = Universe.chain u "witness" in
-    ignore
-      (Engine.schedule (Universe.engine u) ~delay:30.0 (fun () ->
-           Node.crash witness.Universe.nodes.(1)));
+    Engine.schedule (Universe.engine u) ~delay:30.0 (fun () ->
+        Node.crash witness.Universe.nodes.(1));
     let graph =
       Scenarios.two_party_graph ~chain1:"btc" ~chain2:"eth" ids ~timestamp:(Universe.now u)
     in

@@ -49,30 +49,6 @@ type run = {
   mutable knows_secret : Keys.public list;
 }
 
-(* BFS rounds: distance of each vertex from the leader over directed
-   edges. Edges from unreachable vertices make the graph inexecutable by
-   a single-leader protocol (Sec 5.3). *)
-let rounds_from_leader graph leader =
-  let vertices = Ac2t.participants graph in
-  let dist = Hashtbl.create 8 in
-  Hashtbl.replace dist leader 0;
-  let q = Queue.create () in
-  Queue.push leader q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = Hashtbl.find dist u in
-    List.iter
-      (fun (e : Ac2t.edge) ->
-        if String.equal e.Ac2t.from_pk u && not (Hashtbl.mem dist e.Ac2t.to_pk) then begin
-          Hashtbl.replace dist e.Ac2t.to_pk (du + 1);
-          Queue.push e.Ac2t.to_pk q
-        end)
-      (Ac2t.edges graph)
-  done;
-  if List.exists (fun v -> not (Hashtbl.mem dist v)) vertices then
-    Error "graph not executable by a single-leader protocol (unreachable participant)"
-  else Ok (fun pk -> Hashtbl.find dist pk)
-
 (* --- Per-participant actions ------------------------------------------- *)
 
 (* A participant may publish its outgoing contracts once every contract
@@ -197,57 +173,38 @@ let phases =
 
 type handle = Swap_run.handle
 
-let launch universe ~config ~graph ~participants ?(hooks = []) ?(verify = false)
-    ?(obs_name = "herlihy") () =
+let launch universe ~config ~graph ~participants ?(hooks = []) ?(obs_name = "herlihy") () =
   let leader = List.hd (Ac2t.participants graph) in
-  let preflight =
-    if not verify then []
-    else
-      Ac3_verify.Diagnostic.errors
-        (Ac3_verify.Verify.herlihy_preflight ~graph ~delta:config.delta
-           ~timelock_slack:config.timelock_slack ~start_time:(Universe.now universe))
-      (* Model-check the whole transaction at zero fault budget: even a
-         well-formed graph must not violate atomicity fault-free. *)
-      @ Ac3_model.Checker.preflight_errors ~protocol:Ac3_model.Checker.Herlihy ~graph
-          ~delta:config.delta ~timelock_slack:config.timelock_slack
-          ~start_time:(Universe.now universe)
-  in
-  if preflight <> [] then
-    Error (Fmt.str "static verification failed:@.%s" (Ac3_verify.Verify.render preflight))
-  else if not (Ac2t.single_leader_executable graph leader) then
+  if not (Ac2t.single_leader_executable graph leader) then
     Error
       (Fmt.str "graph (%a) is not executable by a single-leader protocol (Sec 5.3)"
          Ac2t.pp_shape (Ac2t.classify graph))
   else
-    Result.bind (rounds_from_leader graph leader) (fun depth_of ->
+    match
+      Htlc.timelock_schedule graph ~leader ~delta:config.delta ~slack:config.timelock_slack
+        ~start:(Universe.now universe)
+    with
+    | Error _ -> Error "graph not executable by a single-leader protocol (unreachable participant)"
+    | Ok schedule ->
         Result.map
           (fun (base : Swap_run.t) ->
-            let diam = Ac2t.diameter graph in
             let secret = Sha256.digest_list [ "herlihy-secret"; Ac2t.to_bytes graph ] in
-            (* Timelocks decrease with distance from the leader: contracts
-               deployed later expire sooner, so everyone who acts on time
-               can redeem before their own lock expires. *)
-            let timelock (e : Ac2t.edge) =
-              base.start_time
-              +. (config.delta
-                 *. (float_of_int ((2 * diam) - depth_of e.Ac2t.from_pk) +. config.timelock_slack))
-            in
             let run =
               {
                 base;
                 leader;
                 secret;
                 hashlock = Htlc.hashlock_of_secret secret;
-                timelocks = Array.of_list (List.map timelock (Ac2t.edges graph));
+                timelocks = Array.of_list (List.map snd schedule);
                 knows_secret = [ leader ];
               }
             in
             Swap_run.start base ~poll_interval:config.poll_interval ~step:(step run)
               ~settled:(fun () -> Swap_run.all_settled base ~aborted:false)
               ~phases ~observe:(Swap_run.observe base ~name:obs_name ~phases))
-          (Swap_run.create universe ~graph ~participants ~hooks))
+          (Swap_run.create universe ~graph ~participants ~hooks)
 
-let execute universe ~config ~graph ~participants ?hooks ?verify ?obs_name () =
+let execute universe ~config ~graph ~participants ?hooks ?obs_name () =
   Result.map
     (fun h -> Swap_run.execute h ~timeout:config.timeout)
-    (launch universe ~config ~graph ~participants ?hooks ?verify ?obs_name ())
+    (launch universe ~config ~graph ~participants ?hooks ?obs_name ())

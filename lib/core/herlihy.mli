@@ -31,10 +31,10 @@ type handle = Swap_run.handle
     (disconnected, or cyclic once the leader is removed — Sec 5.3) or
     [participants] leaves one of its vertices without an actor.
     [hooks] fire on trace labels such as ["deploy:2"] or ["redeem:1"]
-    (per-edge indexes in graph order). With [~verify:true] the static
-    verifier ({!Ac3_verify.Verify.herlihy_preflight}) runs first and any
-    error diagnostic aborts the launch before anything touches a chain.
-    [obs_name] (default ["herlihy"]) labels the metrics and phase spans
+    (per-edge indexes in graph order). Timelocks follow
+    {!Ac3_contract.Htlc.timelock_schedule}. Callers that want the static
+    timelock-order check run [Ac3_verify.Verify.herlihy_preflight]
+    first. [obs_name] (default ["herlihy"]) labels the metrics and phase spans
     the run folds into the universe's observability context — Nolan's
     delegation passes its own name. *)
 val launch :
@@ -43,7 +43,6 @@ val launch :
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   ?obs_name:string ->
   unit ->
   (handle, string) Stdlib.result
@@ -56,7 +55,6 @@ val execute :
   graph:Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   ?obs_name:string ->
   unit ->
   (Swap_run.result, string) Stdlib.result

@@ -24,12 +24,12 @@ let guard name graph =
 
 let get name = function Ok x -> x | Error e -> invalid_arg (name ^ ": " ^ e)
 
-let launch universe ~config ~graph ~participants ?hooks ?verify () =
+let launch universe ~config ~graph ~participants ?hooks () =
   guard "Nolan.launch" graph;
   get "Nolan.launch"
-    (Herlihy.launch universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ())
+    (Herlihy.launch universe ~config ~graph ~participants ?hooks ~obs_name:"nolan" ())
 
-let execute universe ~config ~graph ~participants ?hooks ?verify () =
+let execute universe ~config ~graph ~participants ?hooks () =
   guard "Nolan.execute" graph;
   get "Nolan.execute"
-    (Herlihy.execute universe ~config ~graph ~participants ?hooks ?verify ~obs_name:"nolan" ())
+    (Herlihy.execute universe ~config ~graph ~participants ?hooks ~obs_name:"nolan" ())

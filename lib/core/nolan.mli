@@ -15,20 +15,17 @@ val launch :
   graph:Ac3_contract.Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   unit ->
   Swap_run.handle
 
 (** Execute a two-party swap. Raises [Invalid_argument] if the graph is
-    not a simple two-party swap, if [participants] leaves a vertex
-    without an actor, or if [~verify:true] and the static verifier
-    rejects the run. *)
+    not a simple two-party swap or if [participants] leaves a vertex
+    without an actor. *)
 val execute :
   Universe.t ->
   config:config ->
   graph:Ac3_contract.Ac2t.t ->
   participants:Participant.t list ->
   ?hooks:(string * (unit -> unit)) list ->
-  ?verify:bool ->
   unit ->
   Swap_run.result

@@ -299,9 +299,8 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
   | Workload.Open_loop _ ->
       Array.iteri
         (fun i spec ->
-          ignore
-            (Ac3_sim.Engine.schedule_at engine ~time:(warmup +. offsets.(i)) (fun () ->
-                 launch_spec spec)))
+          Ac3_sim.Engine.schedule_at engine ~time:(warmup +. offsets.(i)) (fun () ->
+              launch_spec spec))
         specs
   | Workload.Closed_loop { clients; think } ->
       let next = ref 0 in
@@ -318,13 +317,12 @@ let run_universe ?(instrument = true) ~seed (config : Workload.config) =
       on_free :=
         (fun () ->
           if !next < config.swaps then
-            ignore (Ac3_sim.Engine.schedule engine ~delay:think launch_next));
+            Ac3_sim.Engine.schedule engine ~delay:think launch_next);
       let initial = min clients config.swaps in
       for i = 0 to initial - 1 do
-        ignore
-          (Ac3_sim.Engine.schedule_at engine
-             ~time:(warmup +. (0.001 *. float_of_int i))
-             (fun () -> launch_next ()))
+        Ac3_sim.Engine.schedule_at engine
+          ~time:(warmup +. (0.001 *. float_of_int i))
+          (fun () -> launch_next ())
       done);
   (* The reaper: finish settled and deadline-expired swaps, in
      swap-index order for determinism. *)

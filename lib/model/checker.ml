@@ -3,11 +3,10 @@
 
    [check] with a positive crash budget asks "is the protocol
    fault-tolerant on this graph?" (Herlihy is not: one withholding party
-   yields M001/M003). [preflight_errors] runs with a zero budget — the
-   question becomes "does the protocol violate atomicity even with no
-   faults?", which is the right gate next to the `?verify` hooks: a
-   clean protocol on a bad graph (e.g. a participant with no path to the
-   leader) fails it, a good graph passes. *)
+   yields M001/M003). With a zero budget the question becomes "does the
+   protocol violate atomicity even with no faults?": a clean protocol on
+   a bad graph (e.g. a participant with no path to the leader) fails it,
+   a good graph passes. *)
 
 module Ac2t = Ac3_contract.Ac2t
 module Diagnostic = Ac3_verify.Diagnostic
@@ -119,12 +118,6 @@ let check ~config ~protocol ~graph =
               };
             model = Some model;
           })
-
-(* Zero-fault preflight for the `?verify` hooks in lib/core: only errors,
-   only violations that need no adversary. *)
-let preflight_errors ~protocol ~graph ~delta ~timelock_slack ~start_time =
-  let config = { default_config with delta; timelock_slack; start_time; crash_budget = 0 } in
-  Diagnostic.errors (check ~config ~protocol ~graph).diagnostics
 
 let ok report = not (Diagnostic.has_errors report.diagnostics)
 

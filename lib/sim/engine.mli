@@ -5,9 +5,6 @@
 
 type t
 
-(** Handle to a scheduled event, usable for cancellation. *)
-type handle
-
 (** Fresh engine with the clock at 0. *)
 val create : unit -> t
 
@@ -17,20 +14,16 @@ val now : t -> float
 (** Total number of events executed so far. *)
 val executed_events : t -> int
 
-(** Number of events still queued and not cancelled. O(queue). *)
+(** Number of events still queued. *)
 val pending_events : t -> int
 
 (** [schedule_at t ~time f] runs [f] at absolute virtual [time].
     Raises [Invalid_argument] if [time] is in the past. *)
-val schedule_at : t -> time:float -> (unit -> unit) -> handle
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
-(** [schedule t ~delay f] runs [f] after [delay] virtual seconds. *)
-val schedule : t -> delay:float -> (unit -> unit) -> handle
-
-(** Cancel a pending event; a no-op if it already fired. *)
-val cancel : handle -> unit
-
-val is_cancelled : handle -> bool
+(** [schedule t ~delay f] runs [f] after [delay] virtual seconds.
+    Raises [Invalid_argument] if [delay] is negative. *)
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [run ?until ?stop t] executes queued events in time order until the
     queue drains, the next event lies beyond [until], or [stop ()] is true.

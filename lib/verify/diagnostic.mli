@@ -1,9 +1,8 @@
 (** Structured diagnostics emitted by the static verification passes.
 
     Every rule violation is reported as a value rather than an exception
-    or a log line, so callers (the [ac3 verify] CLI, the [?verify]
-    precondition hooks, tests) can filter, count and render them
-    uniformly. *)
+    or a log line, so callers (the [ac3 verify] CLI, the chaos oracle,
+    tests) can filter, count and render them uniformly. *)
 
 type severity = Info | Warning | Error
 

@@ -31,26 +31,6 @@ type assignment = {
 
 let short pk = Hex.short ~n:6 pk
 
-(* BFS depths from the leader over directed edges, as
-   Herlihy.rounds_from_leader. *)
-let depths_from_leader graph leader =
-  let dist = Hashtbl.create 8 in
-  Hashtbl.replace dist leader 0;
-  let q = Queue.create () in
-  Queue.push leader q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = Hashtbl.find dist u in
-    List.iter
-      (fun (e : Ac2t.edge) ->
-        if String.equal e.Ac2t.from_pk u && not (Hashtbl.mem dist e.Ac2t.to_pk) then begin
-          Hashtbl.replace dist e.Ac2t.to_pk (du + 1);
-          Queue.push e.Ac2t.to_pk q
-        end)
-      (Ac2t.edges graph)
-  done;
-  dist
-
 let assign ~graph ~delta ~timelock_slack ~start_time =
   if delta <= 0.0 then Error "delta must be positive"
   else
@@ -60,23 +40,16 @@ let assign ~graph ~delta ~timelock_slack ~start_time =
         (Fmt.str "graph (%a) is not executable by a single-leader protocol (Sec 5.3)"
            Ac2t.pp_shape (Ac2t.classify graph))
     else
-      let dist = depths_from_leader graph leader in
       match
-        List.find_opt (fun v -> not (Hashtbl.mem dist v)) (Ac2t.participants graph)
+        Ac3_contract.Htlc.timelock_schedule graph ~leader ~delta ~slack:timelock_slack
+          ~start:start_time
       with
-      | Some v -> Error (Fmt.str "participant %s is unreachable from the leader" (short v))
-      | None ->
-          let diam = Ac2t.diameter graph in
+      | Error v -> Error (Fmt.str "participant %s is unreachable from the leader" (short v))
+      | Ok schedule ->
           Ok
-            (List.map
-               (fun (e : Ac2t.edge) ->
-                 let depth = Hashtbl.find dist e.Ac2t.from_pk in
-                 let expiry =
-                   start_time
-                   +. (delta *. (float_of_int ((2 * diam) - depth) +. timelock_slack))
-                 in
-                 { edge = e; depth; expiry })
-               (Ac2t.edges graph))
+            (List.map2
+               (fun edge (depth, expiry) -> { edge; depth; expiry })
+               (Ac2t.edges graph) schedule)
 
 (* Reverse BFS to the leader: for each participant, the hop count of the
    shortest directed path to the leader and the first edge of that path

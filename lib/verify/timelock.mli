@@ -1,10 +1,10 @@
 (** Static timelock-order analysis for the single-leader protocols
     (pass 2 of the verifier).
 
-    [assign] reproduces, without running the simulator, the timelock
-    assignment {!Ac3_core.Herlihy.execute} uses: an edge whose source
-    sits at BFS depth [d] from the leader expires at
-    [start + delta * (2*Diam(D) - d + slack)].
+    [assign] computes, without running the simulator, the timelock
+    schedule Herlihy's driver uses ({!Ac3_contract.Htlc.timelock_schedule}):
+    an edge whose source sits at BFS depth [d] from the leader expires
+    at [start + delta * (2*Diam(D) - d + slack)].
 
     [check] then verifies the ordering invariant statically. The model:
     all contracts are published by [T_pub = start + delta * Diam(D)]

@@ -1,8 +1,8 @@
 (** Top-level driver composing the three static passes.
 
-    The preflight entry points are what {!Ac3_core.Herlihy.execute} and
-    {!Ac3_core.Ac3wn.execute} call under [?verify:true], and what the
-    [ac3 verify] subcommand runs over the built-in scenarios. *)
+    The preflight entry points are what the [ac3 verify] subcommand runs
+    over the built-in scenarios and what the chaos oracle consults to
+    explain a violation; the protocol drivers do not run them. *)
 
 module Ac2t = Ac3_contract.Ac2t
 

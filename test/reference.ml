@@ -2,11 +2,11 @@
    (test_fast.ml).
 
    [Engine] is the boxed-heap event queue the simulator shipped with
-   before the index-sorted arena (lib/fast/arena.ml) replaced it,
-   kept compiled under test verbatim so the optimized engine always
-   has a live semantic baseline: same (time, seq) dispatch order, same
-   flag-only cancellation, same clock-advance rules. The hash and
-   ledger hot paths need no separate copy — their reference mode is
+   before the index heap of lib/sim/engine.ml replaced it, kept
+   compiled under test so the optimized engine always has a live
+   semantic baseline: same (time, seq) dispatch order, same
+   clock-advance rules. The hash and ledger hot paths need no separate
+   copy — their reference mode is
    the same code with every memo table passed through
    ([Ac3_fast.Memo.set_enabled false]), which the harness toggles.
 
@@ -18,9 +18,7 @@
 module Heap = Ac3_sim.Heap
 
 module Engine = struct
-  type event = { time : float; seq : int; callback : unit -> unit; mutable cancelled : bool }
-
-  type handle = event
+  type event = { time : float; seq : int; callback : unit -> unit }
 
   type t = {
     mutable now : float;
@@ -39,27 +37,19 @@ module Engine = struct
 
   let executed_events t = t.executed
 
-  let pending_events t =
-    let live = ref 0 in
-    Heap.iter t.queue (fun ev -> if not ev.cancelled then incr live);
-    !live
+  let pending_events t = Heap.length t.queue
 
   let schedule_at t ~time callback =
     if time < t.now then
       invalid_arg
         (Printf.sprintf "Engine.schedule_at: time %.6f is in the past (now %.6f)" time t.now);
-    let ev = { time; seq = t.next_seq; callback; cancelled = false } in
+    let ev = { time; seq = t.next_seq; callback } in
     t.next_seq <- t.next_seq + 1;
-    Heap.push t.queue ev;
-    ev
+    Heap.push t.queue ev
 
   let schedule t ~delay callback =
     if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
     schedule_at t ~time:(t.now +. delay) callback
-
-  let cancel handle = handle.cancelled <- true
-
-  let is_cancelled handle = handle.cancelled
 
   let run ?(until = infinity) ?stop t =
     let should_stop () = match stop with None -> false | Some f -> f () in
@@ -74,12 +64,10 @@ module Engine = struct
             match Heap.pop t.queue with
             | None -> ()
             | Some ev ->
-                if not ev.cancelled then begin
-                  t.now <- ev.time;
-                  incr count;
-                  t.executed <- t.executed + 1;
-                  ev.callback ()
-                end;
+                t.now <- ev.time;
+                incr count;
+                t.executed <- t.executed + 1;
+                ev.callback ();
                 loop ())
     in
     loop ();

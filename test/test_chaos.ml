@@ -86,6 +86,61 @@ let test_plan_rejects_malformed () =
   | exception Plan.Malformed _ -> ()
   | _ -> Alcotest.fail "accepted cyclic spec with 5 parties"
 
+(* Reproducers are untrusted input: every value the injector cannot
+   honour must fail parsing with Plan.Malformed, never reach a run (an
+   index error, an Invalid_argument from the network, a silently skipped
+   fault). Boundary values stay accepted. *)
+let test_plan_rejects_hostile_values () =
+  let fault s = Plan.of_string ("[" ^ s ^ "]") in
+  let rejects s =
+    match fault s with
+    | exception Plan.Malformed _ -> ()
+    | _ -> Alcotest.failf "accepted hostile fault %s" s
+  in
+  let accepts s =
+    match fault s with
+    | [ _ ] -> ()
+    | _ -> Alcotest.failf "expected one fault from %s" s
+    | exception Plan.Malformed m -> Alcotest.failf "rejected %s: %s" s m
+  in
+  rejects {|{"kind":"crash","party":-1,"at":10.0}|};
+  rejects {|{"kind":"restart","party":-3,"at":10.0}|};
+  rejects {|{"kind":"crash","party":1,"at":-5.0}|};
+  rejects {|{"kind":"crash","party":1,"at":1e999}|};
+  rejects {|{"kind":"mining_stall","chain":"c0","at":10.0,"duration":-1.0}|};
+  rejects {|{"kind":"witness_outage","at":10.0,"duration":1e999}|};
+  rejects {|{"kind":"drop","chain":"c0","at":10.0,"duration":5.0,"p":1.5}|};
+  rejects {|{"kind":"drop","chain":"c0","at":10.0,"duration":5.0,"p":-0.1}|};
+  rejects {|{"kind":"delay","chain":"c0","at":10.0,"duration":5.0,"factor":0.0}|};
+  rejects {|{"kind":"delay","chain":"c0","at":10.0,"duration":5.0,"factor":-2.0}|};
+  rejects {|{"kind":"delay","chain":"c0","at":10.0,"duration":5.0,"factor":1e999}|};
+  rejects {|{"kind":"partition","chain":"c0","at":10.0,"duration":5.0,"cut":0}|};
+  rejects {|{"kind":"mining_burst","chain":"c0","at":10.0,"blocks":-1}|};
+  accepts {|{"kind":"crash","party":0,"at":0.0}|};
+  accepts {|{"kind":"drop","chain":"c0","at":10.0,"duration":0.0,"p":0.0}|};
+  accepts {|{"kind":"drop","chain":"c0","at":10.0,"duration":5.0,"p":1.0}|};
+  accepts {|{"kind":"partition","chain":"c0","at":10.0,"duration":5.0,"cut":1}|};
+  accepts {|{"kind":"mining_burst","chain":"c0","at":10.0,"blocks":0}|};
+  let spec shape extra =
+    Plan.spec_of_json
+      (Json.Obj
+         [
+           ("seed", Json.Int 1);
+           ("shape", Json.String shape);
+           ("parties", Json.Int 2);
+           ("nchains", Json.Int 2);
+           ("extra_edges", Json.Int extra);
+         ])
+  in
+  (match spec "hexagon" 0 with
+  | exception Plan.Malformed _ -> ()
+  | _ -> Alcotest.fail "accepted an unknown shape");
+  (match spec "random" (Plan.max_extra_edges + 1) with
+  | exception Plan.Malformed _ -> ()
+  | _ -> Alcotest.fail "accepted extra_edges above the cap");
+  Alcotest.(check int) "cap accepted" Plan.max_extra_edges
+    (spec "random" Plan.max_extra_edges).Plan.extra_edges
+
 (* --- determinism of whole runs (QCheck) -------------------------------- *)
 
 (* Same seeded plan, run twice: byte-identical protocol traces, chaos
@@ -302,6 +357,7 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_plan_json_roundtrip;
           Alcotest.test_case "times sorted and bounded" `Quick test_plan_times_sorted_and_bounded;
           Alcotest.test_case "malformed plans rejected" `Quick test_plan_rejects_malformed;
+          Alcotest.test_case "hostile values rejected" `Quick test_plan_rejects_hostile_values;
         ] );
       ( "determinism",
         [

@@ -85,8 +85,7 @@ let test_ac3wn_crash_after_decision_still_atomic () =
           Participant.crash bob;
           (* Recover long after every timelock-style deadline would have
              expired. *)
-          ignore
-            (Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob)) );
+          Engine.schedule (Universe.engine u) ~delay:600.0 (fun () -> Participant.recover bob) );
     ]
   in
   let r = Ac3wn.execute u ~config:ac3wn_config ~graph ~participants ~hooks () in
@@ -586,7 +585,7 @@ let test_driver_golden () =
     let u, participants, graph = two_party seed in
     let trent = Trent.create u ~name in
     Option.iter
-      (fun delay -> ignore (Engine.schedule (Universe.engine u) ~delay (fun () -> Trent.crash trent)))
+      (fun delay -> Engine.schedule (Universe.engine u) ~delay (fun () -> Trent.crash trent))
       trent_crash_after;
     let config = { Ac3tw.default_config with Ac3tw.timeout = 1200.0 } in
     match Ac3tw.execute u ~config ~trent ~graph ~participants ?abort_after () with
@@ -610,8 +609,8 @@ let test_driver_golden () =
         ( "start",
           fun () ->
             let engine = Universe.engine u in
-            ignore (Engine.schedule engine ~delay:2.0 (fun () -> Participant.crash leader));
-            ignore (Engine.schedule engine ~delay:40.0 (fun () -> Participant.recover leader)) );
+            Engine.schedule engine ~delay:2.0 (fun () -> Participant.crash leader);
+            Engine.schedule engine ~delay:40.0 (fun () -> Participant.recover leader) );
       ]
     in
     match Herlihy.execute u ~config ~graph ~participants ~hooks () with

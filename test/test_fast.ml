@@ -1,7 +1,7 @@
 (* Differential harness for the lib/fast hot-path optimizations.
 
-   Three rewrites ride behind existing interfaces: the index-sorted
-   arena event queue (Ac3_sim.Engine), content-addressed memoization of
+   Three rewrites ride behind existing interfaces: the index-heap
+   event queue (Ac3_sim.Engine), content-addressed memoization of
    txids, block header hashes and signature verdicts (Ac3_crypto.Keys,
    Ac3_chain), and incremental UTXO/ledger indexing across reorgs
    (Ac3_chain.Store). Each must be observably identical to its slow
@@ -9,7 +9,7 @@
 
    - the engine is diffed event-by-event against the boxed-heap
      implementation it replaced (Reference.Engine) over randomized
-     schedule/cancel/advance scripts;
+     schedule/advance scripts;
    - every memoized path is computed with memo tables on and off
      (Ac3_fast.Memo.set_enabled) and the results compared, including
      after in-place mutation of already-hashed values;
@@ -37,13 +37,11 @@ open Ac3_chain
 type op =
   | Schedule of int * int  (* delay in 1/4 s, label *)
   | Nested of int * int  (* outer delay, inner delay: callback schedules *)
-  | Cancel of int  (* cancel the (k mod created)-th handle *)
   | Advance of int  (* run ~until:(now + k/2 s) *)
 
 let pp_op = function
   | Schedule (d, l) -> Printf.sprintf "Schedule(%d,%d)" d l
   | Nested (a, b) -> Printf.sprintf "Nested(%d,%d)" a b
-  | Cancel k -> Printf.sprintf "Cancel(%d)" k
   | Advance q -> Printf.sprintf "Advance(%d)" q
 
 let op_gen =
@@ -52,7 +50,6 @@ let op_gen =
       [
         (5, map2 (fun d l -> Schedule (d, l)) (int_bound 16) (int_bound 99));
         (2, map2 (fun a b -> Nested (a, b)) (int_bound 16) (int_bound 8));
-        (2, map (fun k -> Cancel k) (int_bound 31));
         (3, map (fun q -> Advance q) (int_bound 8));
       ])
 
@@ -63,10 +60,8 @@ let script_arb =
 
 (* Everything the script needs from an engine, so the same interpreter
    drives both implementations. *)
-type 'h iface = {
-  schedule : float -> (unit -> unit) -> 'h;
-  cancel : 'h -> unit;
-  is_cancelled : 'h -> bool;
+type iface = {
+  schedule : float -> (unit -> unit) -> unit;
   run_upto : float -> int;
   now : unit -> float;
   pending : unit -> int;
@@ -77,8 +72,6 @@ let fast_iface () =
   let e = Engine.create () in
   {
     schedule = (fun delay f -> Engine.schedule e ~delay f);
-    cancel = Engine.cancel;
-    is_cancelled = Engine.is_cancelled;
     run_upto = (fun u -> Engine.run ~until:u e);
     now = (fun () -> Engine.now e);
     pending = (fun () -> Engine.pending_events e);
@@ -89,8 +82,6 @@ let ref_iface () =
   let e = Reference.Engine.create () in
   {
     schedule = (fun delay f -> Reference.Engine.schedule e ~delay f);
-    cancel = Reference.Engine.cancel;
-    is_cancelled = Reference.Engine.is_cancelled;
     run_upto = (fun u -> Reference.Engine.run ~until:u e);
     now = (fun () -> Reference.Engine.now e);
     pending = (fun () -> Reference.Engine.pending_events e);
@@ -98,37 +89,21 @@ let ref_iface () =
   }
 
 (* Interpret [ops], logging every observable: fire order with
-   timestamps, cancellation flags, run counts, clock, pending and
-   executed totals. Two engines are equivalent iff their logs match. *)
+   timestamps, run counts, clock, pending and executed totals. Two
+   engines are equivalent iff their logs match. *)
 let interp iface ops =
   let buf = Buffer.create 512 in
   let log fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let handles = ref [] in
-  let n_handles = ref 0 in
   List.iter
     (fun op ->
       match op with
       | Schedule (d, l) ->
-          let h = iface.schedule (float_of_int d /. 4.0) (fun () -> log "fire %d @ %g" l (iface.now ())) in
-          handles := h :: !handles;
-          incr n_handles
+          iface.schedule (float_of_int d /. 4.0) (fun () -> log "fire %d @ %g" l (iface.now ()))
       | Nested (a, b) ->
-          let h =
-            iface.schedule (float_of_int a /. 4.0) (fun () ->
-                log "outer %d @ %g" a (iface.now ());
-                ignore
-                  (iface.schedule (float_of_int b /. 4.0) (fun () ->
-                       log "inner %d.%d @ %g" a b (iface.now ()))))
-          in
-          handles := h :: !handles;
-          incr n_handles
-      | Cancel k ->
-          if !n_handles > 0 then begin
-            let i = k mod !n_handles in
-            let h = List.nth !handles i in
-            log "cancel %d was=%b" i (iface.is_cancelled h);
-            iface.cancel h
-          end
+          iface.schedule (float_of_int a /. 4.0) (fun () ->
+              log "outer %d @ %g" a (iface.now ());
+              iface.schedule (float_of_int b /. 4.0) (fun () ->
+                  log "inner %d.%d @ %g" a b (iface.now ())))
       | Advance q ->
           let u = iface.now () +. (float_of_int q /. 2.0) in
           let ran = iface.run_upto u in

@@ -117,9 +117,9 @@ let test_heap_iter_empty () =
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~delay:2.0 (fun () -> log := "b" :: !log));
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> log := "a" :: !log));
-  ignore (Engine.schedule e ~delay:3.0 (fun () -> log := "c" :: !log));
+  Engine.schedule e ~delay:2.0 (fun () -> log := "b" :: !log);
+  Engine.schedule e ~delay:1.0 (fun () -> log := "a" :: !log);
+  Engine.schedule e ~delay:3.0 (fun () -> log := "c" :: !log);
   ignore (Engine.run e);
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log)
 
@@ -127,35 +127,26 @@ let test_engine_fifo_ties () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 0 to 9 do
-    ignore (Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log))
+    Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log)
   done;
   ignore (Engine.run e);
   Alcotest.(check (list int)) "scheduling order at equal time" (List.init 10 Fun.id)
     (List.rev !log)
 
-let test_engine_cancellation () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel h;
-  ignore (Engine.run e);
-  Alcotest.(check bool) "cancelled event does not fire" false !fired
-
 let test_engine_nested_scheduling () =
   let e = Engine.create () in
   let times = ref [] in
-  ignore
-    (Engine.schedule e ~delay:1.0 (fun () ->
-         times := Engine.now e :: !times;
-         ignore (Engine.schedule e ~delay:1.5 (fun () -> times := Engine.now e :: !times))));
+  Engine.schedule e ~delay:1.0 (fun () ->
+      times := Engine.now e :: !times;
+      Engine.schedule e ~delay:1.5 (fun () -> times := Engine.now e :: !times));
   ignore (Engine.run e);
   Alcotest.(check (list (float 1e-9))) "nested times" [ 1.0; 2.5 ] (List.rev !times)
 
 let test_engine_horizon () =
   let e = Engine.create () in
   let fired = ref 0 in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> incr fired));
-  ignore (Engine.schedule e ~delay:5.0 (fun () -> incr fired));
+  Engine.schedule e ~delay:1.0 (fun () -> incr fired);
+  Engine.schedule e ~delay:5.0 (fun () -> incr fired);
   ignore (Engine.run ~until:2.0 e);
   Alcotest.(check int) "only first fired" 1 !fired;
   Alcotest.(check (float 1e-9)) "clock at horizon" 2.0 (Engine.now e);
@@ -164,11 +155,11 @@ let test_engine_horizon () =
 
 let test_engine_past_rejected () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> ()));
+  Engine.schedule e ~delay:1.0 (fun () -> ());
   ignore (Engine.run e);
   Alcotest.check_raises "past scheduling rejected"
     (Invalid_argument "Engine.schedule_at: time 0.500000 is in the past (now 1.000000)")
-    (fun () -> ignore (Engine.schedule_at e ~time:0.5 (fun () -> ())))
+    (fun () -> Engine.schedule_at e ~time:0.5 (fun () -> ()))
 
 let test_engine_repeating () =
   let e = Engine.create () in
@@ -178,39 +169,6 @@ let test_engine_repeating () =
   stop ();
   ignore (Engine.run ~until:10.0 e);
   Alcotest.(check int) "fired until stopped" 5 !count
-
-(* Cancelled events stay queued until their timestamp but are not
-   pending work: pending_events must not count them, and running past
-   them must not execute them. *)
-let test_engine_pending_excludes_cancelled () =
-  let e = Engine.create () in
-  let fired = ref 0 in
-  let h1 = Engine.schedule e ~delay:1.0 (fun () -> incr fired) in
-  let _h2 = Engine.schedule e ~delay:2.0 (fun () -> incr fired) in
-  let h3 = Engine.schedule e ~delay:3.0 (fun () -> incr fired) in
-  Alcotest.(check int) "three pending" 3 (Engine.pending_events e);
-  Engine.cancel h1;
-  Alcotest.(check int) "cancel drops one" 2 (Engine.pending_events e);
-  Engine.cancel h1;
-  Alcotest.(check int) "double cancel is idempotent" 2 (Engine.pending_events e);
-  Engine.cancel h3;
-  Alcotest.(check int) "one live event left" 1 (Engine.pending_events e);
-  Alcotest.(check int) "only the live event runs" 1 (Engine.run e);
-  Alcotest.(check int) "callback count agrees" 1 !fired;
-  Alcotest.(check int) "drained" 0 (Engine.pending_events e)
-
-(* FIFO order among equal timestamps must survive cancelling events
-   interleaved with the survivors. *)
-let test_engine_fifo_ties_with_cancellation () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let handles =
-    List.init 6 (fun i -> Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log))
-  in
-  List.iteri (fun i h -> if i mod 2 = 1 then Engine.cancel h) handles;
-  ignore (Engine.run e);
-  Alcotest.(check (list int)) "even slots fire in scheduling order" [ 0; 2; 4 ]
-    (List.rev !log)
 
 (* The clock advances to the horizon when the queue drains early — even
    when the queue was empty to begin with — so back-to-back run ~until
@@ -231,8 +189,8 @@ let test_engine_until_advances_drained_clock () =
 let test_engine_stop_keeps_clock () =
   let e = Engine.create () in
   let fired = ref 0 in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> incr fired));
-  ignore (Engine.schedule e ~delay:2.0 (fun () -> incr fired));
+  Engine.schedule e ~delay:1.0 (fun () -> incr fired);
+  Engine.schedule e ~delay:2.0 (fun () -> incr fired);
   let executed = Engine.run ~until:10.0 ~stop:(fun () -> !fired >= 1) e in
   Alcotest.(check int) "stopped after one event" 1 executed;
   Alcotest.(check (float 1e-9)) "clock stays at the stop point" 1.0 (Engine.now e);
@@ -242,152 +200,69 @@ let test_engine_stop_keeps_clock () =
 
 let test_engine_schedule_boundaries () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> ()));
+  Engine.schedule e ~delay:1.0 (fun () -> ());
   ignore (Engine.run e);
   (match Engine.schedule e ~delay:(-0.5) (fun () -> ()) with
   | _ -> Alcotest.fail "negative delay should be rejected"
   | exception Invalid_argument _ -> ());
   (* exactly-now is allowed: the event fires at the current instant *)
   let fired = ref false in
-  ignore (Engine.schedule_at e ~time:(Engine.now e) (fun () -> fired := true));
+  Engine.schedule_at e ~time:(Engine.now e) (fun () -> fired := true);
   ignore (Engine.run e);
   Alcotest.(check bool) "time = now fires" true !fired;
   Alcotest.(check (float 1e-9)) "clock unchanged" 1.0 (Engine.now e)
 
-(* --- Arena (lib/fast): slot recycling and stale handles ---------------- *)
+(* --- Slot reuse: the engine's free list ------------------------------ *)
 
-module Arena = Ac3_fast.Arena
-
-let test_arena_cancel_live () =
-  let a = Arena.create () in
-  let h = Arena.add a ~time:1.0 ~seq:0 (fun () -> ()) in
-  Alcotest.(check bool) "not cancelled yet" false (Arena.is_cancelled a h);
-  Arena.cancel a h;
-  Alcotest.(check bool) "flagged" true (Arena.is_cancelled a h);
-  Arena.cancel a h;
-  Alcotest.(check bool) "idempotent" true (Arena.is_cancelled a h);
-  Alcotest.(check int) "size counts cancelled events" 1 (Arena.size a);
-  Alcotest.(check int) "live_count does not" 0 (Arena.live_count a)
-
-let test_arena_stale_handle_inert () =
-  let a = Arena.create ~capacity:2 () in
-  let h1 = Arena.add a ~time:1.0 ~seq:0 (fun () -> ()) in
-  let slot = Arena.pop_min a in
-  Arena.release a slot;
-  (* h1 is stale: its event was popped and the slot is on the free list. *)
-  Alcotest.(check bool) "stale handle reads not-cancelled" false (Arena.is_cancelled a h1);
-  (* The freed slot is recycled for the next event; the stale handle's
-     generation no longer matches, so it cannot resurrect into cancelling
-     the slot's new occupant. *)
-  let h2 = Arena.add a ~time:2.0 ~seq:1 (fun () -> ()) in
-  Arena.cancel a h1;
-  Alcotest.(check bool) "stale cancel leaves the recycled slot alone" false
-    (Arena.is_cancelled a h2);
-  Alcotest.(check int) "new occupant still live" 1 (Arena.live_count a)
-
+(* Fired events free their slots for later ones. A thousand rounds of two
+   events each, with at most two in flight: slots recycle through the free
+   list and events still fire in (time, seq) order throughout. *)
 let test_arena_free_list_reuse () =
-  (* Start at capacity 1 and run a thousand add/pop cycles with at most
-     two events in flight: slots must recycle through the free list and
-     pop order must stay (time, seq) throughout. *)
-  let a = Arena.create ~capacity:1 () in
-  let seq = ref 0 in
-  let popped = ref [] in
+  let e = Engine.create () in
+  let log = ref [] in
   for round = 1 to 1000 do
     let t = float_of_int round in
-    for _ = 1 to 2 do
-      ignore (Arena.add a ~time:t ~seq:!seq (fun () -> ()) : Arena.handle);
-      incr seq
+    for k = 0 to 1 do
+      Engine.schedule_at e ~time:t (fun () -> log := (Engine.now e, k) :: !log)
     done;
-    for _ = 1 to 2 do
-      let s = Arena.pop_min a in
-      popped := Arena.slot_time a s :: !popped;
-      Arena.release a s
-    done
+    Alcotest.(check int) "two in flight" 2 (Engine.pending_events e);
+    ignore (Engine.run e)
   done;
-  Alcotest.(check bool) "drained" true (Arena.is_empty a);
+  Alcotest.(check int) "drained" 0 (Engine.pending_events e);
   let expect =
-    List.concat_map
-      (fun r ->
-        let t = float_of_int (r + 1) in
-        [ t; t ])
-      (List.init 1000 Fun.id)
+    List.concat_map (fun r -> [ (float_of_int r, 0); (float_of_int r, 1) ]) (List.init 1000 succ)
   in
-  Alcotest.(check (list (float 1e-9))) "pop order over recycled slots" expect (List.rev !popped)
+  Alcotest.(check (list (pair (float 1e-9) int))) "fire order over recycled slots" expect
+    (List.rev !log)
 
+(* A hundred events at one instant grow the queue past its initial
+   capacity, and each schedules a successor at the same instant from
+   inside dispatch, taking the slot just freed. (time, seq) order must win
+   over slot index: successors after every original, in the order they
+   were scheduled, whatever slot they landed in. *)
 let test_arena_equal_time_tie_break_across_reuse () =
-  (* Everything at one timestamp; an early event is cancelled, popped and
-     its slot recycled for later sequence numbers. (time, seq) order must
-     win over slot index. *)
-  let a = Arena.create ~capacity:2 () in
+  let e = Engine.create () in
   let log = ref [] in
-  let ev k () = log := k :: !log in
-  let h0 = Arena.add a ~time:5.0 ~seq:0 (ev 0) in
-  ignore (Arena.add a ~time:5.0 ~seq:1 (ev 1) : Arena.handle);
-  Arena.cancel a h0;
-  let s = Arena.pop_min a in
-  Alcotest.(check bool) "cancelled first-in pops first" true (Arena.slot_cancelled a s);
-  Arena.release a s;
-  ignore (Arena.add a ~time:5.0 ~seq:2 (ev 2) : Arena.handle);
-  ignore (Arena.add a ~time:5.0 ~seq:3 (ev 3) : Arena.handle);
-  while not (Arena.is_empty a) do
-    let s = Arena.pop_min a in
-    let cb = Arena.slot_callback a s in
-    let cancelled = Arena.slot_cancelled a s in
-    Arena.release a s;
-    if not cancelled then cb ()
+  for i = 0 to 99 do
+    Engine.schedule e ~delay:1.0 (fun () ->
+        log := i :: !log;
+        Engine.schedule e ~delay:0.0 (fun () -> log := (100 + i) :: !log))
   done;
-  Alcotest.(check (list int)) "seq order, not slot order" [ 1; 2; 3 ] (List.rev !log)
-
-(* Regression caught by the differential harness (test_fast.ml): the
-   handle's cancelled flag is sticky. The boxed-heap engine's handle WAS
-   the event record, so [is_cancelled] stayed true after the cancelled
-   event's timestamp passed; the arena reaps the slot at that point, and
-   a generation-checked lookup alone would flip the answer to false. The
-   engine keeps the bit on the handle so the historical observable
-   survives slot recycling. *)
-let test_engine_cancelled_flag_outlives_event () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel h;
-  ignore (Engine.run e);
-  Alcotest.(check bool) "did not fire" false !fired;
-  Alcotest.(check bool) "flag survives past the event's timestamp" true (Engine.is_cancelled h);
-  (* The reaped slot is recycled; a second cancel through the stale
-     handle must not resurrect into cancelling the new occupant. *)
-  let fired2 = ref false in
-  let h2 = Engine.schedule e ~delay:1.0 (fun () -> fired2 := true) in
-  Engine.cancel h;
-  ignore (Engine.run e);
-  Alcotest.(check bool) "recycled slot's event unaffected" true !fired2;
-  Alcotest.(check bool) "new handle not cancelled" false (Engine.is_cancelled h2)
-
-let test_engine_cancel_after_fire () =
-  let e = Engine.create () in
-  let h = Engine.schedule e ~delay:1.0 (fun () -> ()) in
-  ignore (Engine.run e);
-  Alcotest.(check bool) "fired event reads not-cancelled" false (Engine.is_cancelled h);
-  (* Historical semantics: cancel after the fact still flags the handle. *)
-  Engine.cancel h;
-  Alcotest.(check bool) "cancel after fire flags the handle" true (Engine.is_cancelled h);
-  (* ... without leaking into whatever reuses the slot. *)
-  let fired = ref false in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> fired := true) : Engine.handle);
-  ignore (Engine.run e);
-  Alcotest.(check bool) "later event on the recycled slot fires" true !fired
+  Alcotest.(check int) "all queued" 100 (Engine.pending_events e);
+  Alcotest.(check int) "originals and successors ran" 200 (Engine.run e);
+  Alcotest.(check (list int)) "seq order, not slot order" (List.init 200 Fun.id) (List.rev !log)
 
 let test_engine_free_list_reuse_at_scale () =
   let e = Engine.create () in
   let fired = ref 0 in
   for _ = 1 to 500 do
-    let hs =
-      List.init 8 (fun i -> Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired))
-    in
-    List.iteri (fun i h -> if i mod 2 = 0 then Engine.cancel h) hs;
+    for i = 0 to 7 do
+      Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired)
+    done;
     ignore (Engine.run e)
   done;
-  Alcotest.(check int) "half the events fired" (500 * 4) !fired;
-  Alcotest.(check int) "executed counter agrees" (500 * 4) (Engine.executed_events e);
+  Alcotest.(check int) "every recycled event fired" (500 * 8) !fired;
+  Alcotest.(check int) "executed counter agrees" (500 * 8) (Engine.executed_events e);
   Alcotest.(check int) "queue drained" 0 (Engine.pending_events e)
 
 (* --- Trace ------------------------------------------------------------ *)
@@ -487,28 +362,18 @@ let () =
         [
           Alcotest.test_case "time ordering" `Quick test_engine_ordering;
           Alcotest.test_case "FIFO ties" `Quick test_engine_fifo_ties;
-          Alcotest.test_case "cancellation" `Quick test_engine_cancellation;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "repeating" `Quick test_engine_repeating;
-          Alcotest.test_case "pending excludes cancelled" `Quick
-            test_engine_pending_excludes_cancelled;
-          Alcotest.test_case "FIFO ties with cancellation" `Quick
-            test_engine_fifo_ties_with_cancellation;
           Alcotest.test_case "until advances drained clock" `Quick
             test_engine_until_advances_drained_clock;
           Alcotest.test_case "stop keeps clock" `Quick test_engine_stop_keeps_clock;
           Alcotest.test_case "schedule boundaries" `Quick test_engine_schedule_boundaries;
-          Alcotest.test_case "cancelled flag outlives the event" `Quick
-            test_engine_cancelled_flag_outlives_event;
-          Alcotest.test_case "cancel after fire" `Quick test_engine_cancel_after_fire;
           Alcotest.test_case "free-list reuse at scale" `Quick test_engine_free_list_reuse_at_scale;
         ] );
       ( "arena",
         [
-          Alcotest.test_case "cancel live handle" `Quick test_arena_cancel_live;
-          Alcotest.test_case "stale handle is inert" `Quick test_arena_stale_handle_inert;
           Alcotest.test_case "free-list reuse" `Quick test_arena_free_list_reuse;
           Alcotest.test_case "equal-time tie-break across reuse" `Quick
             test_arena_equal_time_tie_break_across_reuse;

@@ -1,8 +1,7 @@
 (* Static-verifier tests: graph lints, the timelock-order analysis
    (including the paper's Sec 3 violation reproduced without running the
    simulator), bounded exhaustive state-machine exploration of the three
-   contract codes, and the ?verify preflight hooks on the protocol entry
-   points. *)
+   contract codes, and the preflights on the protocols' own configs. *)
 
 module Keys = Ac3_crypto.Keys
 module Ac2t = Ac3_contract.Ac2t
@@ -230,11 +229,36 @@ let test_centralized_and_witness_sound () =
       Alcotest.(check bool) "refund authorization reachable" true
         (List.mem State_machine.Refunded (State_machine.classes auto))
 
-(* --- The ?verify preflight hooks --------------------------------------------- *)
+(* --- Preflights on the protocols' own configs --------------------------------- *)
 
 let fast_universe ?(seed = 7) ~chains n =
   Scenarios.make_universe ~seed ~block_interval:5.0 ~confirm_depth:3 ~chains
     (Scenarios.identities ~ns:(Printf.sprintf "tv%d" seed) n) ()
+
+(* A connected graph that stays acyclic without its leader, yet the
+   leader (A, its first participant) cannot reach C: A -> B, C -> B.
+   Both users of the shared timelock schedule refuse it, each with its
+   own message: the static assignment names the participant, Herlihy's
+   driver names the cause. *)
+let test_timelock_unreachable_participant () =
+  let carol = Keys.create "verify-test-carol" in
+  let graph = Ac2t.create ~edges:[ edge alice bob "btc"; edge carol bob "eth" ] ~timestamp:1.0 in
+  Alcotest.(check bool) "connected, acyclic without the leader" true
+    (Ac2t.single_leader_executable graph (Keys.public alice));
+  (match Timelock.assign ~graph ~delta:10.0 ~timelock_slack:2.0 ~start_time:0.0 with
+  | Ok _ -> Alcotest.fail "assignment for an unreachable participant"
+  | Error e ->
+      Alcotest.(check string) "static assignment error"
+        ("participant " ^ Ac3_crypto.Hex.short ~n:6 (Keys.public carol)
+       ^ " is unreachable from the leader")
+        e);
+  let u, _ = fast_universe ~seed:804 ~chains:[ "btc"; "eth" ] 2 in
+  let config = Herlihy.default_config ~delta:(Universe.max_delta u) in
+  match Herlihy.launch u ~config ~graph ~participants:[] () with
+  | Ok _ -> Alcotest.fail "Herlihy launched a graph with an unreachable participant"
+  | Error e ->
+      Alcotest.(check string) "driver error"
+        "graph not executable by a single-leader protocol (unreachable participant)" e
 
 let test_herlihy_verify_rejects_underslack () =
   let chains = List.init 4 (Printf.sprintf "chain%d") in
@@ -245,16 +269,13 @@ let test_herlihy_verify_rejects_underslack () =
   let config =
     { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timelock_slack = -1.0 }
   in
-  let before = Universe.now u in
-  (match Herlihy.execute u ~config ~graph ~participants ~verify:true () with
-  | Ok _ -> Alcotest.fail "under-slack assignment accepted"
-  | Error e ->
-      Alcotest.(check bool) "names the violated rule" true
-        (Astring.String.is_infix ~affix:"T002-timelock-order" e));
-  (* Rejected before anything touched a chain: no virtual time passed. *)
-  Alcotest.(check (float 1e-9)) "no simulation ran" before (Universe.now u)
+  let ds =
+    V.herlihy_preflight ~graph ~delta:config.Herlihy.delta
+      ~timelock_slack:config.Herlihy.timelock_slack ~start_time:(Universe.now u)
+  in
+  Alcotest.(check bool) "finds the violated rule" true (has "T002-timelock-order" (D.errors ds))
 
-let test_nolan_verify_raises () =
+let test_two_party_underslack_found () =
   let u, participants = fast_universe ~seed:802 ~chains:[ "btc"; "eth" ] 2 in
   Universe.run_until u 50.0;
   let ids' = List.map Participant.identity participants in
@@ -262,11 +283,11 @@ let test_nolan_verify_raises () =
   let config =
     { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timelock_slack = -5.0 }
   in
-  match Nolan.execute u ~config ~graph ~participants ~verify:true () with
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "carries the diagnostics" true
-        (Astring.String.is_infix ~affix:"T002-timelock-order" msg)
-  | _ -> Alcotest.fail "under-slack two-party swap accepted"
+  let ds =
+    V.herlihy_preflight ~graph ~delta:config.Herlihy.delta
+      ~timelock_slack:config.Herlihy.timelock_slack ~start_time:(Universe.now u)
+  in
+  Alcotest.(check bool) "finds the violated rule" true (has "T002-timelock-order" (D.errors ds))
 
 let test_herlihy_verify_commits () =
   let u, participants = fast_universe ~seed:803 ~chains:[ "btc"; "eth" ] 2 in
@@ -276,7 +297,11 @@ let test_herlihy_verify_commits () =
   let config =
     { (Herlihy.default_config ~delta:(Universe.max_delta u)) with Herlihy.timeout = 5000.0 }
   in
-  match Herlihy.execute u ~config ~graph ~participants ~verify:true () with
+  Alcotest.(check (list string)) "preflight clean" []
+    (error_rules
+       (V.herlihy_preflight ~graph ~delta:config.Herlihy.delta
+          ~timelock_slack:config.Herlihy.timelock_slack ~start_time:(Universe.now u)));
+  match Herlihy.execute u ~config ~graph ~participants () with
   | Error e -> Alcotest.fail e
   | Ok r ->
       Alcotest.(check bool) "committed" true r.Swap_run.committed;
@@ -352,6 +377,8 @@ let () =
           Alcotest.test_case "sink participant cannot learn secret" `Quick
             test_timelock_secret_unreachable;
           Alcotest.test_case "non-positive delta rejected" `Quick test_timelock_bad_delta;
+          Alcotest.test_case "unreachable participant refused by both" `Quick
+            test_timelock_unreachable_participant;
         ] );
       ( "state-machine",
         [
@@ -364,7 +391,8 @@ let () =
         [
           Alcotest.test_case "herlihy rejects under-slack statically" `Quick
             test_herlihy_verify_rejects_underslack;
-          Alcotest.test_case "nolan raises on rejected swap" `Quick test_nolan_verify_raises;
+          Alcotest.test_case "two-party under-slack finds T002" `Quick
+            test_two_party_underslack_found;
           Alcotest.test_case "herlihy commits with verification on" `Slow
             test_herlihy_verify_commits;
           Alcotest.test_case "ac3wn accepts all scenarios" `Quick test_ac3wn_preflight_all_scenarios;
